@@ -72,42 +72,39 @@ def _bitset_to_bool(bits: int, size: int) -> np.ndarray:
     ].astype(bool)
 
 
-def longest_increasing_path_len(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> int:
-    """Exact number of edges in the longest increasing simple path."""
+def _reach_sets(ordering: EdgeOrdering, cap: int, stop_at_full: bool):
+    """Bit-parallel subset DP: reach[v] has bit S set iff some increasing
+    path visits exactly S and ends at v.  With ``stop_at_full``, returns
+    None at the first edge that completes a Hamiltonian path."""
     n = ordering.n
     _check_cap(n, cap, 1 / 8)
-    size = 1 << n
+    full_shift = (1 << n) - 1
     masks = _subset_masks_without(n)
     reach = [1 << (1 << v) for v in range(n)]  # singleton {v} reachable
     us, vs = ordering.edges_by_label
     for u, v in zip(us.tolist(), vs.tolist()):
         add_v = (reach[u] & masks[v]) << (1 << v)
         add_u = (reach[v] & masks[u]) << (1 << u)
+        if stop_at_full and ((add_v >> full_shift) or (add_u >> full_shift)):
+            return None
         reach[v] |= add_v
         reach[u] |= add_u
+    return reach
+
+
+def longest_increasing_path_len(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> int:
+    """Exact number of edges in the longest increasing simple path."""
     anywhere = 0
-    for r in reach:
+    for r in _reach_sets(ordering, cap, stop_at_full=False):
         anywhere |= r
-    reachable = _bitset_to_bool(anywhere, size)
+    n = ordering.n
+    reachable = _bitset_to_bool(anywhere, 1 << n)
     return int(_popcounts(n)[reachable].max()) - 1
 
 
 def has_increasing_ham_path(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> bool:
     """True iff an increasing Hamiltonian path exists; exits at first hit."""
-    n = ordering.n
-    _check_cap(n, cap, 1 / 8)
-    full_shift = (1 << n) - 1
-    masks = _subset_masks_without(n)
-    reach = [1 << (1 << v) for v in range(n)]
-    us, vs = ordering.edges_by_label
-    for u, v in zip(us.tolist(), vs.tolist()):
-        add_v = (reach[u] & masks[v]) << (1 << v)
-        add_u = (reach[v] & masks[u]) << (1 << u)
-        if (add_v >> full_shift) or (add_u >> full_shift):
-            return True
-        reach[v] |= add_v
-        reach[u] |= add_u
-    return False
+    return _reach_sets(ordering, cap, stop_at_full=True) is None
 
 
 def count_increasing_ham_paths(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> int:

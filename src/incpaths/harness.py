@@ -34,6 +34,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,35 +58,6 @@ from .walks import greedy_path, pedestrian_walks, refusal_paths
 
 _M64 = (1 << 64) - 1
 
-COMMANDS = (
-    "greedy-sim",
-    "kgreedy-sim",
-    "walks-demo",
-    "alpha-table",
-    "cycles-mc",
-    "hamprob",
-    "moments",
-    "census",
-    "bounds",
-    "constant-c",
-    "worstcase",
-)
-
-_DEFAULTS = {
-    "greedy-sim": dict(n=2000, trials=200, model=REAL),
-    "kgreedy-sim": dict(n=2000, k=10, trials=100, model=REAL, mode=EXHAUST),
-    "walks-demo": dict(n=30, trials=100, model=PERMUTATION),
-    "alpha-table": dict(k=100, precision=cyclestats.RATIONAL),
-    "cycles-mc": dict(k=20, trials=100_000),
-    "hamprob": dict(n=12, trials=2000, model=PERMUTATION),
-    "moments": dict(n=4, model=PERMUTATION),
-    "census": dict(n=5),
-    "bounds": dict(n=100),
-    "constant-c": dict(k=80),
-    "worstcase": dict(n=10),
-}
-
-
 @dataclass
 class ExperimentConfig:
     command: str
@@ -101,9 +74,9 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Command defaults filled in; returns the config echo dict."""
-        if self.command not in _DEFAULTS:
+        if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        params = dict(_DEFAULTS[self.command])
+        params = dict(COMMANDS[self.command].defaults)
         for name in ("n", "k", "trials", "model", "mode", "precision"):
             value = getattr(self, name)
             if value is not None:
@@ -174,6 +147,18 @@ def _series(values, emit_raw: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _walk_lengths(ordering):
+    """(longest pedestrian walk, total pedestrian steps, longest refusal
+    path), all in edges."""
+    walks = pedestrian_walks(ordering)
+    refusals = refusal_paths(ordering)
+    return (
+        max(len(w) - 1 for w in walks),
+        sum(len(w) - 1 for w in walks),
+        max(len(p) - 1 for p in refusals),
+    )
+
+
 def _trial_greedy(params, seed):
     n = params["n"]
     ordering = random_ordering(n, seed, params["model"])
@@ -188,14 +173,7 @@ def _trial_kgreedy(params, seed):
 
 
 def _trial_walks(params, seed):
-    ordering = random_ordering(params["n"], seed, params["model"])
-    walks = pedestrian_walks(ordering)
-    refusals = refusal_paths(ordering)
-    return (
-        max(len(w) - 1 for w in walks),
-        sum(len(w) - 1 for w in walks),
-        max(len(p) - 1 for p in refusals),
-    )
+    return _walk_lengths(random_ordering(params["n"], seed, params["model"]))
 
 
 def _trial_hamprob(params, seed):
@@ -205,29 +183,17 @@ def _trial_hamprob(params, seed):
 
 def _trial_count(params, seed):
     ordering = random_ordering(params["n"], seed, params["model"])
-    return count_increasing_ham_paths(ordering)
+    return float(count_increasing_ham_paths(ordering))
 
 
-_TRIAL_KERNELS = {
-    "greedy-sim": _trial_greedy,
-    "kgreedy-sim": _trial_kgreedy,
-    "walks-demo": _trial_walks,
-    "hamprob": _trial_hamprob,
-    "moments": _trial_count,
-}
-
-
-def _worker(task):
-    command, params, seed = task
-    return _TRIAL_KERNELS[command](params, seed)
-
-
-def _run_trials(command, params, master_seed, trials, threads):
-    tasks = [(command, params, trial_seed(master_seed, t)) for t in range(trials)]
+def _run_trials(kernel, params, threads):
+    trials = params["trials"]
+    seeds = [trial_seed(params["seed"], t) for t in range(trials)]
+    task = partial(kernel, params)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_worker, tasks, chunksize=max(1, trials // (4 * threads))))
-    return [_worker(task) for task in tasks]
+            return list(pool.map(task, seeds, chunksize=max(1, trials // (4 * threads))))
+    return list(map(task, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +201,12 @@ def _run_trials(command, params, master_seed, trials, threads):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_trial_series(config, params, threads):
-    values = _run_trials(
-        params["command"], params, params["seed"], params["trials"], threads
-    )
-    return {"fraction": _series(values, config.emit_raw)}
+def _cmd_trial_series(kernel, key, config, params, threads):
+    return {key: _series(_run_trials(kernel, params, threads), config.emit_raw)}
 
 
 def _cmd_walks(config, params, threads):
-    rows = _run_trials("walks-demo", params, params["seed"], params["trials"], threads)
-    ped_max, ped_total, ref_max = zip(*rows)
+    ped_max, ped_total, ref_max = zip(*_run_trials(_trial_walks, params, threads))
     n = params["n"]
     return {
         "pedestrian_max_length": _series(list(ped_max), config.emit_raw),
@@ -289,15 +251,9 @@ def _cmd_cycles_mc(config, params, threads):
     return results
 
 
-def _cmd_hamprob(config, params, threads):
-    hits = _run_trials("hamprob", params, params["seed"], params["trials"], threads)
-    return {"existence": _series(hits, config.emit_raw)}
-
-
 def _cmd_moments(config, params, threads):
     if "trials" in params:
-        counts = _run_trials("moments", params, params["seed"], params["trials"], threads)
-        return {"count": _series([float(c) for c in counts], config.emit_raw),
+        return {**_cmd_trial_series(_trial_count, "count", config, params, threads),
                 "expected_mean": params["n"]}
     report = secondmoment.exact_moments(params["n"])
     return secondmoment.moment_report_to_dict(report)
@@ -362,13 +318,12 @@ def _cmd_constant_c(config, params, threads):
 def _cmd_worstcase(config, params, threads):
     n = params["n"]
     ordering = matching_ordering(n)
-    walks = pedestrian_walks(ordering)
-    refusals = refusal_paths(ordering)
+    ped_max, ped_total, ref_max = _walk_lengths(ordering)
     results = {
         "n": n,
-        "pedestrian_max_length": max(len(w) - 1 for w in walks),
-        "pedestrian_total_steps": sum(len(w) - 1 for w in walks),
-        "refusal_max_length": max(len(p) - 1 for p in refusals),
+        "pedestrian_max_length": ped_max,
+        "pedestrian_total_steps": ped_total,
+        "refusal_max_length": ref_max,
     }
     if n <= 20:
         results["longest_increasing_path"] = longest_increasing_path_len(ordering)
@@ -376,29 +331,40 @@ def _cmd_worstcase(config, params, threads):
     return results
 
 
-_COMMAND_IMPLS = {
-    "greedy-sim": _cmd_trial_series,
-    "kgreedy-sim": _cmd_trial_series,
-    "walks-demo": _cmd_walks,
-    "alpha-table": _cmd_alpha_table,
-    "cycles-mc": _cmd_cycles_mc,
-    "hamprob": _cmd_hamprob,
-    "moments": _cmd_moments,
-    "census": _cmd_census,
-    "bounds": _cmd_bounds,
-    "constant-c": _cmd_constant_c,
-    "worstcase": _cmd_worstcase,
+class Command(NamedTuple):
+    """One CLI command: its default parameters and the function
+    ``impl(config, params, threads)`` that returns its results block."""
+
+    defaults: dict
+    impl: Callable
+
+
+COMMANDS = {
+    "greedy-sim": Command(dict(n=2000, trials=200, model=REAL),
+                          partial(_cmd_trial_series, _trial_greedy, "fraction")),
+    "kgreedy-sim": Command(dict(n=2000, k=10, trials=100, model=REAL, mode=EXHAUST),
+                           partial(_cmd_trial_series, _trial_kgreedy, "fraction")),
+    "walks-demo": Command(dict(n=30, trials=100, model=PERMUTATION), _cmd_walks),
+    "alpha-table": Command(dict(k=100, precision=cyclestats.RATIONAL), _cmd_alpha_table),
+    "cycles-mc": Command(dict(k=20, trials=100_000), _cmd_cycles_mc),
+    "hamprob": Command(dict(n=12, trials=2000, model=PERMUTATION),
+                       partial(_cmd_trial_series, _trial_hamprob, "existence")),
+    "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments),
+    "census": Command(dict(n=5), _cmd_census),
+    "bounds": Command(dict(n=100), _cmd_bounds),
+    "constant-c": Command(dict(k=80), _cmd_constant_c),
+    "worstcase": Command(dict(n=10), _cmd_worstcase),
 }
 
 
 def default_threads() -> int:
     env = os.environ.get("INCPATHS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"INCPATHS_THREADS must be an integer, got {env!r}") from None
 
 
 def run(config: ExperimentConfig) -> Report:
@@ -406,8 +372,10 @@ def run(config: ExperimentConfig) -> Report:
     bit-stable for a fixed (config, version) regardless of worker count."""
     params = config.resolved()
     threads = config.threads if config.threads is not None else default_threads()
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     start = time.time()
-    results = _COMMAND_IMPLS[config.command](config, params, threads)
+    results = COMMANDS[config.command].impl(config, params, threads)
     report = Report(
         config=params,
         results=results,

@@ -29,7 +29,6 @@ making runs fully deterministic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +58,6 @@ class KGreedyTrace:
 
     def __len__(self):
         return len(self.ell)
-
-
-def write_trace_csv(trace: KGreedyTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ell", "retained_subtree_size", "waiting_time"])
-        for row in zip(trace.ell, trace.retained_subtree_size, trace.waiting_time):
-            writer.writerow(row)
 
 
 def _subtree_vertices(root_child, children):

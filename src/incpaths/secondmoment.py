@@ -151,31 +151,11 @@ def pair_probability(a_seq, b_seq) -> Fraction:
     return Fraction(linear_extension_count(a_seq, b_seq), math.factorial(union))
 
 
-def _census_fixed_first(n):
-    """Census over all pairs (identity, B); classify is invariant under
-    simultaneous relabeling, so full-class values are these times n!."""
-    identity = tuple(range(n))
-    counts: dict[ProfileSignature, int] = {}
-    masses: dict[ProfileSignature, int] = {}
-    for b_seq in permutations(range(n)):
-        sig = classify_pair(identity, b_seq)
-        counts[sig] = counts.get(sig, 0) + 1
-        masses[sig] = masses.get(sig, 0) + linear_extension_count(identity, b_seq)
-    return counts, masses
-
-
 def profile_census(n: int) -> dict[ProfileSignature, CensusClass]:
     """Exhaustive classification of all (n!)^2 ordered pairs by signature."""
     if n > MOMENTS_CAP:
         raise CapacityError(f"census supports n <= {MOMENTS_CAP}, got n={n}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    counts, masses = _census_fixed_first(n)
-    scale = math.factorial(n)
-    return {
-        sig: CensusClass(pair_count=scale * counts[sig], mass=scale * masses[sig])
-        for sig in sorted(counts)
-    }
+    return exact_moments(n).census
 
 
 def exact_moments(n: int) -> MomentReport:
@@ -185,6 +165,9 @@ def exact_moments(n: int) -> MomentReport:
         raise CapacityError(f"exact moments support n <= {MOMENTS_CAP}, got n={n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
+    # pairs (identity, B) stand for all pairs: classify and the extension
+    # count are invariant under simultaneous relabeling, so full-class
+    # values are these times n!
     identity = tuple(range(n))
     second = Fraction(0)
     counts: dict[ProfileSignature, int] = {}
@@ -266,6 +249,15 @@ def _split_term(c, k, n, fact):
     return Fraction(num * fact[n] * fact[n - c - k], fact[2 * n - c - 2])
 
 
+def _split_sum(c_range, n, fact):
+    """Sum of ``_split_term`` over c in c_range and 1 <= k <= min(c, n-c)."""
+    total = Fraction(0)
+    for c in c_range:
+        for k in range(1, min(c, n - c) + 1):
+            total += _split_term(c, k, n, fact)
+    return total
+
+
 def s_sum_bounds(n: int) -> tuple[float, float, float]:
     """Exactly evaluated split of the second-moment sum by shared-edge
     count: the e^{-2}-scaled small-c part (c <= floor(ln n), asymptotically
@@ -282,29 +274,13 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     c_mid = 9 * n // 10
 
     small = Fraction(0)
-    for c in range(0, c_small + 1):
-        if c == 0:
-            small += Fraction(_multinomial_two_plus_k(n - 1, 0) * fact[n] * fact[n], fact[2 * n - 2])
-            continue
-        for k in range(1, min(c, n - c) + 1):
-            m = n - c - 1
+    for c in range(c_small + 1):
+        for k in range(min(c, n - c) + 1):
             for ell in range(max(0, 2 * k - c), k + 1):
-                comp = _compositions_min2(c - ell, k - ell)
-                if comp == 0:
-                    continue
-                num = 2**ell * math.comb(k, ell) * comp * _multinomial_two_plus_k(m, k)
-                small += Fraction(num * fact[n] * fact[n - c - k], fact[2 * n - c - 2])
-
-    mid = Fraction(0)
-    for c in range(c_small + 1, c_mid + 1):
-        for k in range(1, min(c, n - c) + 1):
-            mid += _split_term(c, k, n, fact)
-
-    tail = Fraction(0)
-    for c in range(c_mid + 1, n):
-        for k in range(1, min(c, n - c) + 1):
-            tail += _split_term(c, k, n, fact)
-
+                bound = labeled_profile_bound(c, k, ell, n) * embedding_bound(c, k, n)
+                small += Fraction(bound, fact[2 * n - c - 2])
+    mid = _split_sum(range(c_small + 1, c_mid + 1), n, fact)
+    tail = _split_sum(range(c_mid + 1, n), n, fact)
     return (math.exp(-2) * float(small), float(mid), float(tail))
 
 

@@ -171,6 +171,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_nonpositive_threads(threads):
+    assert main(["greedy-sim", "--n", "20", "--trials", "2", "--threads", threads]) == 2
+
+
+@pytest.mark.parametrize("env", ["garbage", "0"])
+def test_cli_rejects_invalid_threads_env(monkeypatch, env):
+    monkeypatch.setenv("INCPATHS_THREADS", env)
+    assert main(["greedy-sim", "--n", "20", "--trials", "2"]) == 2
+
+
 def test_cli_prints_json(capsys):
     assert main(["constant-c", "--k", "10"]) == 0
     printed = capsys.readouterr().out

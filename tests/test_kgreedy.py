@@ -8,7 +8,7 @@ import pytest
 from incpaths import core
 from incpaths.core import is_increasing, is_path, random_ordering
 from incpaths.cyclestats import longest_cycle_distribution
-from incpaths.kgreedy import EXHAUST, STRICT, KGreedyTrace, k_greedy_path, write_trace_csv
+from incpaths.kgreedy import EXHAUST, STRICT, KGreedyTrace, k_greedy_path
 from incpaths.walks import greedy_path
 
 
@@ -148,20 +148,6 @@ def test_invalid_arguments():
         k_greedy_path(ordering, 10, 2)
     with pytest.raises(ValueError):
         k_greedy_path(ordering, 0, 2, mode="lazy")
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    ordering = random_ordering(50, 7, core.REAL)
-    _, trace = k_greedy_path(ordering, 0, 4)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(trace, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "ell,retained_subtree_size,waiting_time"
-    assert len(lines) == len(trace) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == trace.ell[0]
-    assert int(first[1]) == trace.retained_subtree_size[0]
-    assert float(first[2]) == trace.waiting_time[0]
 
 
 def test_deeper_look_ahead_wins_at_scale():
