@@ -233,7 +233,8 @@ def write_ordering(ordering: EdgeOrdering, path) -> None:
 
 
 def read_ordering(path) -> EdgeOrdering:
-    """Read an ordering written by write_ordering."""
+    """Read an ordering written by write_ordering.  Every edge must appear
+    exactly once: a missing or repeated edge is a ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "n":
@@ -243,8 +244,16 @@ def read_ordering(path) -> EdgeOrdering:
             raise ValueError(f"unknown label model {model!r}")
         dtype = np.int64 if model == PERMUTATION else np.float64
         labels = np.zeros(num_edges(n), dtype=dtype)
+        seen = np.zeros(num_edges(n), dtype=bool)
         for line in fh:
             u, v, lab = line.split()
             idx = edge_index(int(u), int(v), n)
+            if seen[idx]:
+                raise ValueError(f"edge ({u}, {v}) appears twice in {path}")
+            seen[idx] = True
             labels[idx] = int(lab) if model == PERMUTATION else float(lab)
+    if not seen.all():
+        u, v = edge_endpoints(int(np.argmin(seen)), n)
+        missing = num_edges(n) - int(seen.sum())
+        raise ValueError(f"{missing} edges missing from {path}, first ({u}, {v})")
     return EdgeOrdering(n=n, model=model, labels=labels)

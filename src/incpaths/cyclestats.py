@@ -5,20 +5,24 @@ L_k is the length of the longest cycle of a uniform permutation of
 
     Pr[L_n = s] = sum_{j=1..floor(n/s)} 1/(j! s^j) * Pr[L_{n-sj} <= s-1]
 
-with L_0 identically 0, which is evaluated bottom-up either in exact
-rationals (authoritative, k <= 200) or vectorized float64 with Kahan
-compensation (k <= 5000).  From the tables come alpha_k =
+with L_0 identically 0, which is evaluated bottom-up either exactly, as
+integer counts of permutations by longest cycle (authoritative,
+k <= 200), or vectorized float64 with Kahan compensation (k <= 5000).
+Exact values are those counts over k!.  From the tables come alpha_k =
 E[1/L_k + 1/(L_k+1) + ... + 1/k], the predicted path fraction
 1 - exp(-1/alpha_k), and E[L_k/k] (whose limit is the Golomb-Dickman
 constant, about 0.6243).
 
-All computed tables are memoized module-wide; construction is
-single-threaded, reads are safe to share.
+All computed tables are memoized module-wide; the exact ones grow a row
+at a time, and the float ones are built once at the largest k asked for
+(alpha_table builds them at k_max before its first row).  Construction
+is single-threaded, reads are safe to share.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,11 +68,13 @@ def _check_k(k: int, precision: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact rational tables, grown row by row on demand
+# exact tables as integer permutation counts, grown row by row on demand
 # ---------------------------------------------------------------------------
 
-_rat_pmf: list[list[Fraction]] = [[Fraction(1)]]  # row m, index s = 0..m
-_rat_cdf: list[list[Fraction]] = [[Fraction(1)]]
+# _exact[r][s]: permutations of r elements whose longest cycle is exactly s;
+# _counts[r][t]: those whose cycles all have length at most t (t = 0..r)
+_exact: list[list[int]] = [[1]]
+_counts: list[list[int]] = [[1]]
 _factorials: list[int] = [1]
 
 
@@ -78,28 +84,28 @@ def _factorial(j: int) -> int:
     return _factorials[j]
 
 
-def _grow_rational(k: int) -> None:
-    for n in range(len(_rat_pmf), k + 1):
-        pmf = [Fraction(0)] * (n + 1)
+def _grow_exact(k: int) -> None:
+    """N_n(s) = sum_j n!/((n-sj)! j! s^j) * A_{n-sj}(s-1): choose the j
+    cycles of length s, then permute the rest with cycles shorter than s."""
+    _factorial(k)
+    for n in range(len(_exact), k + 1):
+        row = [0] * (n + 1)
         for s in range(1, n + 1):
-            total = Fraction(0)
+            total = 0
+            ways = 1  # n!/((n-sj)! j! s^j), stepped in j
+            rest = n
+            cycle = _factorials[s - 1]  # (s-1)! cyclic orders of s chosen elements
             for j in range(1, n // s + 1):
-                rest = n - s * j
-                below = _rat_cdf[rest][s - 1] if s - 1 <= rest else Fraction(1)
-                if below:
-                    total += Fraction(1, _factorial(j) * s**j) * below
-            pmf[s] = total
-        cdf = [Fraction(0)] * (n + 1)
-        acc = Fraction(0)
-        for s in range(n + 1):
-            acc += pmf[s]
-            cdf[s] = acc
-        _rat_pmf.append(pmf)
-        _rat_cdf.append(cdf)
+                ways = ways * math.comb(rest, s) * cycle // j
+                rest -= s
+                total += ways * (_counts[rest][s - 1] if s - 1 <= rest else _factorials[rest])
+            row[s] = total
+        _exact.append(row)
+        _counts.append(list(itertools.accumulate(row)))
 
 
 # ---------------------------------------------------------------------------
-# float64 tables, rebuilt vectorized whenever a larger k is requested
+# float64 tables, built vectorized at the largest k requested so far
 # ---------------------------------------------------------------------------
 
 _float_cache: dict = {"k": 0, "P": np.zeros((1, 1)), "C": np.ones((1, 1))}
@@ -138,9 +144,13 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
     """Full pmf/cdf table of L_k."""
     _check_k(k, precision)
     if precision == RATIONAL:
-        _grow_rational(k)
+        _grow_exact(k)
+        total = _factorials[k]
         return CycleLengthTable(
-            k=k, precision=precision, pmf=tuple(_rat_pmf[k]), cdf=tuple(_rat_cdf[k])
+            k=k,
+            precision=precision,
+            pmf=tuple(Fraction(count, total) for count in _exact[k]),
+            cdf=tuple(Fraction(count, total) for count in _counts[k]),
         )
     P, C = _float_tables(k)
     return CycleLengthTable(
@@ -148,19 +158,18 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
     )
 
 
-def _harmonic_fractions(k: int) -> list[Fraction]:
-    hs = [Fraction(0)]
-    for i in range(1, k + 1):
-        hs.append(hs[-1] + Fraction(1, i))
-    return hs
-
-
 def alpha(k: int, precision: str = RATIONAL):
     """alpha_k = E[1/L_k + 1/(L_k+1) + ... + 1/k]; exact in rational mode."""
-    table = longest_cycle_distribution(k, precision)
     if precision == RATIONAL:
-        hs = _harmonic_fractions(k)
-        return sum(table.pmf[s] * (hs[k] - hs[s - 1]) for s in range(1, k + 1))
+        _check_k(k, precision)
+        _grow_exact(k)
+        # h[i] = D * H_i with D = lcm(1..k), so every harmonic tail is an integer
+        d = math.lcm(*range(1, k + 1))
+        h = [0, *itertools.accumulate(d // i for i in range(1, k + 1))]
+        counts = _exact[k]
+        total = sum(counts[s] * (h[k] - h[s - 1]) for s in range(1, k + 1))
+        return Fraction(total, _factorials[k] * d)
+    table = longest_cycle_distribution(k, precision)
     hs = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, k + 1))))
     pmf = np.array(table.pmf)
     return float(np.dot(pmf[1:], hs[k] - hs[:k]))
@@ -174,10 +183,11 @@ def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
 
 def golomb_dickman_estimate(k: int, precision: str = RATIONAL):
     """E[L_k / k] from the exact pmf; tends to about 0.6243 as k grows."""
-    table = longest_cycle_distribution(k, precision)
     if precision == RATIONAL:
-        return sum(Fraction(s, k) * table.pmf[s] for s in range(1, k + 1))
-    pmf = np.array(table.pmf)
+        _check_k(k, precision)
+        _grow_exact(k)
+        return Fraction(sum(s * count for s, count in enumerate(_exact[k])), k * _factorials[k])
+    pmf = np.array(longest_cycle_distribution(k, precision).pmf)
     return float(np.dot(np.arange(k + 1), pmf) / k)
 
 
@@ -230,6 +240,10 @@ def sample_longest_cycle(
 def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
     """Rows (k, alpha, predicted_fraction, mean_ratio) for k = 1..k_max."""
     _check_k(k_max, precision)
+    if precision == FLOAT:
+        # one build at k_max: row k of a larger table equals a build at k,
+        # so the loop reads rows instead of rebuilding for every k
+        _float_tables(k_max)
     rows = []
     for k in range(1, k_max + 1):
         a = alpha(k, precision)
@@ -245,7 +259,11 @@ def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
 
 
 def write_alpha_table(path, k_max: int, precision: str = RATIONAL) -> None:
-    rows = alpha_table(k_max, precision)
+    write_alpha_rows(path, alpha_table(k_max, precision))
+
+
+def write_alpha_rows(path, rows: list[dict]) -> None:
+    """CSV export of rows already computed by alpha_table."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["k", "alpha", "predicted_fraction", "mean_ratio"])
         writer.writeheader()

@@ -73,14 +73,24 @@ class ExperimentConfig:
     emit_raw: bool = False
 
     def resolved(self) -> dict:
-        """Command defaults filled in; returns the config echo dict."""
+        """Command defaults filled in; returns the config echo dict.
+
+        A parameter the command does not take, or a .csv ``out`` for a
+        command without a tabular export, is rejected rather than echoed
+        or ignored."""
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        params = dict(COMMANDS[self.command].defaults)
+        command = COMMANDS[self.command]
+        params = dict(command.defaults)
         for name in ("n", "k", "trials", "model", "mode", "precision"):
             value = getattr(self, name)
-            if value is not None:
-                params[name] = value
+            if value is None:
+                continue
+            if name not in params and name not in command.optional:
+                raise ValueError(f"{self.command} takes no --{name}")
+            params[name] = value
+        if self.out and self.out.endswith(".csv") and not command.csv:
+            raise ValueError(f"{self.command} has no CSV export: {self.out}")
         params["command"] = self.command
         params["seed"] = self.seed
         if params.get("trials", 1) < 1:
@@ -223,7 +233,7 @@ def _cmd_walks(config, params, threads):
 def _cmd_alpha_table(config, params, threads):
     rows = cyclestats.alpha_table(params["k"], params["precision"])
     if config.out and config.out.endswith(".csv"):
-        cyclestats.write_alpha_table(config.out, params["k"], params["precision"])
+        cyclestats.write_alpha_rows(config.out, rows)
     last = rows[-1]
     return {"rows": rows, "k_max": params["k"], "last_row": last}
 
@@ -332,11 +342,15 @@ def _cmd_worstcase(config, params, threads):
 
 
 class Command(NamedTuple):
-    """One CLI command: its default parameters and the function
-    ``impl(config, params, threads)`` that returns its results block."""
+    """One CLI command: its default parameters, the function
+    ``impl(config, params, threads)`` that returns its results block, the
+    parameters it also takes without a default, and whether an ``out``
+    ending in .csv selects a tabular export."""
 
     defaults: dict
     impl: Callable
+    optional: tuple = ()
+    csv: bool = False
 
 
 COMMANDS = {
@@ -345,12 +359,13 @@ COMMANDS = {
     "kgreedy-sim": Command(dict(n=2000, k=10, trials=100, model=REAL, mode=EXHAUST),
                            partial(_cmd_trial_series, _trial_kgreedy, "fraction")),
     "walks-demo": Command(dict(n=30, trials=100, model=PERMUTATION), _cmd_walks),
-    "alpha-table": Command(dict(k=100, precision=cyclestats.RATIONAL), _cmd_alpha_table),
+    "alpha-table": Command(dict(k=100, precision=cyclestats.RATIONAL), _cmd_alpha_table,
+                           csv=True),
     "cycles-mc": Command(dict(k=20, trials=100_000), _cmd_cycles_mc),
     "hamprob": Command(dict(n=12, trials=2000, model=PERMUTATION),
                        partial(_cmd_trial_series, _trial_hamprob, "existence")),
-    "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments),
-    "census": Command(dict(n=5), _cmd_census),
+    "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments, optional=("trials",)),
+    "census": Command(dict(n=5), _cmd_census, csv=True),
     "bounds": Command(dict(n=100), _cmd_bounds),
     "constant-c": Command(dict(k=80), _cmd_constant_c),
     "worstcase": Command(dict(n=10), _cmd_worstcase),

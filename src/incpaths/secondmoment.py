@@ -20,9 +20,9 @@ evaluated split sums over small/medium/large c reproduce the structure
 of the second-moment estimate E[H_n^2] ~ e * n^2, whose inner constant
 is sum_k 3^k/k! = e^3.
 
-All bound and census arithmetic is exact (Python ints and Fractions); no
-floating point enters except where an explicit e^{-2} scale factor is
-applied.
+All bound and census arithmetic is exact (Python ints and Fractions); the
+split sums are integers over the common denominator (2n-2)!.  No floating
+point enters except where an explicit e^{-2} scale factor is applied.
 """
 
 from __future__ import annotations
@@ -242,20 +242,38 @@ def embedding_bound(c: int, k: int, n: int) -> int:
     return math.factorial(n) * math.factorial(n - c - k)
 
 
+def _split_k_factor(c, k, n, fact):
+    """The factor of a split term that varies with k: 2^k C(c-1, k-1)
+    C(2m+k, k) (n-c-k)! with m = n-c-1."""
+    m = n - c - 1
+    return 2**k * math.comb(c - 1, k - 1) * math.comb(2 * m + k, k) * fact[n - c - k]
+
+
 def _split_term(c, k, n, fact):
     """2^k C(c-1, k-1) multinomial(2(n-c-1)+k; ...) n!(n-c-k)!/(2n-c-2)!"""
     m = n - c - 1
-    num = 2**k * math.comb(c - 1, k - 1) * _multinomial_two_plus_k(m, k)
-    return Fraction(num * fact[n] * fact[n - c - k], fact[2 * n - c - 2])
+    num = _split_k_factor(c, k, n, fact) * math.comb(2 * m, m) * fact[n]
+    return Fraction(num, fact[2 * n - c - 2])
 
 
-def _split_sum(c_range, n, fact):
-    """Sum of ``_split_term`` over c in c_range and 1 <= k <= min(c, n-c)."""
-    total = Fraction(0)
+def _falling_to_common(n):
+    """up[c] = (2n-2)!/(2n-c-2)!, which lifts a term over (2n-c-2)! to one
+    over the common denominator (2n-2)!, for c = 0..n-1."""
+    up = [1]
+    for c in range(1, n):
+        up.append(up[-1] * (2 * n - 1 - c))
+    return up
+
+
+def _split_sum(c_range, n, fact, up):
+    """Sum of ``_split_term`` over c in c_range and 1 <= k <= min(c, n-c),
+    as an integer over (2n-2)!; factors free of k are applied once per c."""
+    total = 0
     for c in c_range:
-        for k in range(1, min(c, n - c) + 1):
-            total += _split_term(c, k, n, fact)
-    return total
+        m = n - c - 1
+        inner = sum(_split_k_factor(c, k, n, fact) for k in range(1, min(c, n - c) + 1))
+        total += inner * math.comb(2 * m, m) * up[c]
+    return total * fact[n]
 
 
 def s_sum_bounds(n: int) -> tuple[float, float, float]:
@@ -264,24 +282,31 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     e n^2), and upper bounds for the medium part (c <= floor(9n/10)) and
     the large-c tail.
 
-    Sums are accumulated as exact rationals and converted at the end; the
-    small-c value carries the irrational e^{-2} factor.
+    Every term's denominator (2n-c-2)! divides (2n-2)!, so each sum is
+    accumulated as an integer over (2n-2)! and becomes one exact rational
+    at the end; the small-c value carries the irrational e^{-2} factor.
     """
     if n < 10:
         raise ValueError(f"need n >= 10, got n={n}")
     fact = [math.factorial(i) for i in range(2 * n)]
+    up = _falling_to_common(n)
     c_small = int(math.floor(math.log(n)))
     c_mid = 9 * n // 10
 
-    small = Fraction(0)
+    small = 0
     for c in range(c_small + 1):
         for k in range(min(c, n - c) + 1):
             for ell in range(max(0, 2 * k - c), k + 1):
                 bound = labeled_profile_bound(c, k, ell, n) * embedding_bound(c, k, n)
-                small += Fraction(bound, fact[2 * n - c - 2])
-    mid = _split_sum(range(c_small + 1, c_mid + 1), n, fact)
-    tail = _split_sum(range(c_mid + 1, n), n, fact)
-    return (math.exp(-2) * float(small), float(mid), float(tail))
+                small += bound * up[c]
+    mid = _split_sum(range(c_small + 1, c_mid + 1), n, fact, up)
+    tail = _split_sum(range(c_mid + 1, n), n, fact, up)
+    common = fact[2 * n - 2]
+    return (
+        math.exp(-2) * float(Fraction(small, common)),
+        float(Fraction(mid, common)),
+        float(Fraction(tail, common)),
+    )
 
 
 def constant_C_partial(c_max: int) -> Fraction:

@@ -188,6 +188,24 @@ def test_ordering_file_roundtrip(tmp_path, model):
     assert np.array_equal(back.labels, ordering.labels)  # bit-exact
 
 
+def test_read_ordering_rejects_truncated_file(tmp_path):
+    path = tmp_path / "ordering.txt"
+    path.write_text(f"n 4 {core.PERMUTATION}\n0 1 3\n")
+    with pytest.raises(ValueError, match="missing"):
+        read_ordering(path)
+
+
+def test_read_ordering_rejects_repeated_edge(tmp_path):
+    ordering = random_ordering(4, 1, core.PERMUTATION)
+    path = tmp_path / "ordering.txt"
+    write_ordering(ordering, path)
+    lines = path.read_text().splitlines()
+    # the last line names (1, 0): edge (0, 1) a second time
+    path.write_text("\n".join(lines[:-1] + ["1 0 " + lines[-1].split()[2]]) + "\n")
+    with pytest.raises(ValueError, match="twice"):
+        read_ordering(path)
+
+
 def test_labels_immutable():
     ordering = random_ordering(5, 3)
     with pytest.raises(ValueError):

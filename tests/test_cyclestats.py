@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from incpaths import cyclestats
 from incpaths.core import CapacityError
 from incpaths.cyclestats import (
     FLOAT,
@@ -43,6 +44,23 @@ def longest_cycle_pmf_enumeration(k):
         counts[longest] += 1
     total = math.factorial(k)
     return {s: Fraction(c, total) for s, c in counts.items()}
+
+
+def longest_cycle_fraction_rows(k_max):
+    """Oracle: pmf and cdf rows 0..k_max of L_k from the module docstring's
+    recurrence, evaluated in Fractions term by term."""
+    pmf_rows = [[Fraction(1)]]
+    cdf_rows = [[Fraction(1)]]
+    for n in range(1, k_max + 1):
+        pmf = [Fraction(0)] * (n + 1)
+        for s in range(1, n + 1):
+            for j in range(1, n // s + 1):
+                rest = n - s * j
+                below = cdf_rows[rest][s - 1] if s - 1 <= rest else Fraction(1)
+                pmf[s] += Fraction(1, math.factorial(j) * s**j) * below
+        pmf_rows.append(pmf)
+        cdf_rows.append(list(itertools.accumulate(pmf)))
+    return pmf_rows, cdf_rows
 
 
 def harmonic_numbers(k):
@@ -83,6 +101,19 @@ def test_recurrence_matches_enumeration(k):
     table = longest_cycle_distribution(k)
     for s in range(1, k + 1):
         assert table.pmf[s] == oracle.get(s, Fraction(0))
+
+
+def test_integer_tables_match_fraction_recurrence():
+    pmf_rows, cdf_rows = longest_cycle_fraction_rows(60)
+    for k in range(1, 61):
+        table = longest_cycle_distribution(k)
+        assert table.pmf == tuple(pmf_rows[k])
+        assert table.cdf == tuple(cdf_rows[k])
+        assert all(isinstance(p, Fraction) for p in table.pmf + table.cdf)
+    for k in (1, 10, 60):
+        pmf = dict(enumerate(pmf_rows[k]))
+        assert alpha(k) == alpha_from_pmf(pmf, k)
+        assert golomb_dickman_estimate(k) == sum(Fraction(s, k) * p for s, p in pmf.items())
 
 
 def test_pmf_normalization_rational():
@@ -151,6 +182,17 @@ def test_alpha_monotone_and_bounded_float():
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-13
     assert all(a > 0.52 for a in values)
+
+
+def test_float_table_built_once_equals_cold_builds(monkeypatch):
+    rows = alpha_table(60, FLOAT)
+    for k in range(1, 61):
+        # an empty cache makes alpha(k) build the float tables at size k
+        monkeypatch.setattr(cyclestats, "_float_cache", {"k": 0})
+        a = alpha(k, FLOAT)
+        assert rows[k - 1]["alpha"] == a
+        assert rows[k - 1]["predicted_fraction"] == 1.0 - math.exp(-1.0 / a)
+        assert rows[k - 1]["mean_ratio"] == golomb_dickman_estimate(k, FLOAT)
 
 
 def test_float_matches_rational():

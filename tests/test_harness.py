@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from incpaths.cyclestats import write_alpha_table
 from incpaths.harness import (
     ExperimentConfig,
     Report,
@@ -96,6 +97,9 @@ def test_alpha_table_command_with_csv(tmp_path):
     assert report.results["last_row"]["k"] == 12
     assert out.exists()
     assert len(out.read_text().strip().splitlines()) == 13
+    direct = tmp_path / "direct.csv"
+    write_alpha_table(direct, 12)
+    assert out.read_bytes() == direct.read_bytes()
 
 
 def test_cycles_mc_matches_exact():
@@ -180,6 +184,34 @@ def test_cli_rejects_nonpositive_threads(threads):
 def test_cli_rejects_invalid_threads_env(monkeypatch, env):
     monkeypatch.setenv("INCPATHS_THREADS", env)
     assert main(["greedy-sim", "--n", "20", "--trials", "2"]) == 2
+
+
+def test_cli_rejects_csv_out_without_export(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["greedy-sim", "--n", "20", "--trials", "2", "--out", str(out)]) == 2
+    assert "no CSV export" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "20", "--k", "5", "--trials", "3"],
+        ["bounds", "--n", "20", "--model", "perm"],
+        ["census", "--n", "4", "--k", "2"],
+        ["cycles-mc", "--k", "5", "--n", "3"],
+        ["greedy-sim", "--n", "20", "--trials", "2", "--precision", "float"],
+    ],
+)
+def test_cli_rejects_stray_flags(argv, capsys):
+    assert main(argv) == 2
+    assert "takes no --" in capsys.readouterr().err
+
+
+def test_moments_takes_trials():
+    report = run(ExperimentConfig(command="moments", n=5, trials=3, seed=1))
+    assert report.config["trials"] == 3
+    assert "trials" not in run(ExperimentConfig(command="moments", n=4)).config
 
 
 def test_cli_prints_json(capsys):

@@ -15,6 +15,7 @@ from incpaths.secondmoment import (
     MomentReport,
     ProfileSignature,
     _compositions_min2,
+    _split_term,
     classify_pair,
     constant_C_partial,
     embedding_bound,
@@ -250,6 +251,37 @@ def test_s_sum_small_c_ratio_approaches_one():
         s1, _, _ = s_sum_bounds(n)
         ratios[n] = s1 / (math.e * n * n)
     assert abs(ratios[400] - 1) < abs(ratios[50] - 1)
+
+
+def s_sum_fractions(n):
+    """Oracle: the three split sums of s_sum_bounds(n), each term an exact
+    Fraction over its own (2n-c-2)!, summed in Fractions."""
+    fact = [math.factorial(i) for i in range(2 * n)]
+    c_small = int(math.floor(math.log(n)))
+    c_mid = 9 * n // 10
+    small = sum(
+        Fraction(
+            labeled_profile_bound(c, k, ell, n) * embedding_bound(c, k, n),
+            fact[2 * n - c - 2],
+        )
+        for c in range(c_small + 1)
+        for k in range(min(c, n - c) + 1)
+        for ell in range(max(0, 2 * k - c), k + 1)
+    )
+
+    def split(c_range):
+        return sum(
+            (_split_term(c, k, n, fact) for c in c_range for k in range(1, min(c, n - c) + 1)),
+            Fraction(0),
+        )
+
+    return small, split(range(c_small + 1, c_mid + 1)), split(range(c_mid + 1, n))
+
+
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_s_sum_bounds_equal_fraction_sums(n):
+    small, mid, tail = s_sum_fractions(n)
+    assert s_sum_bounds(n) == (math.exp(-2) * float(small), float(mid), float(tail))
 
 
 def test_s_sum_rejects_small_n():
