@@ -50,9 +50,6 @@ class CycleLengthTable:
     pmf: tuple
     cdf: tuple
 
-    def mean(self):
-        return sum(s * p for s, p in enumerate(self.pmf))
-
 
 def _check_k(k: int, precision: str) -> None:
     if k < 1:
@@ -199,8 +196,9 @@ def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:
     """
     if 2 * k > FLOAT_CAP:
         raise CapacityError(f"need 2k <= {FLOAT_CAP} for the extrapolate, got k={k}")
-    at_k = float(alpha(k, precision))
+    # 2k first: row k of the float tables built at 2k equals a build at k
     at_2k = float(alpha(2 * k, precision))
+    at_k = float(alpha(k, precision))
     return {"k": k, "alpha_at_k": at_k, "richardson": 2 * at_2k - at_k}
 
 
@@ -256,10 +254,6 @@ def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
             }
         )
     return rows
-
-
-def write_alpha_table(path, k_max: int, precision: str = RATIONAL) -> None:
-    write_alpha_rows(path, alpha_table(k_max, precision))
 
 
 def write_alpha_rows(path, rows: list[dict]) -> None:

@@ -4,8 +4,9 @@ All three main operations process edges in ascending label order over
 subset states (S, v) = "some increasing path visits exactly S and ends at
 v".  Labels are distinct, so each label step adds one edge and new states
 never chain within a step.  Existence and longest-path use bit-parallel
-subset sets (one big integer per end vertex, one bit per subset); counting
-uses an int64 table.
+subset sets (one big integer per end vertex, one bit per subset).
+Counting uses an int64 table viewed as a strided subset cube, one
+length-2 axis per vertex, so each edge is two in-place slice additions.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from .core import CapacityError, EdgeOrdering
 
 DEFAULT_CAP = 20
 BRUTE_FORCE_CAP = 8
-
-# per-(u,v) subset index tables are precomputed up to this n
-_INDEX_CACHE_MAX_N = 13
 
 
 def _check_cap(n: int, cap: int, bytes_per_state: float) -> None:
@@ -52,17 +50,12 @@ def _popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
-def _count_dp_indices(n: int) -> dict:
-    """For each ordered pair (u, v): indices of subsets containing u but not v."""
-    subsets = np.arange(1 << n, dtype=np.int64)
-    table = {}
-    for u in range(n):
-        has_u = ((subsets >> u) & 1) == 1
-        for v in range(n):
-            if v != u:
-                table[(u, v)] = subsets[has_u & (((subsets >> v) & 1) == 0)]
-    return table
+def _subsets_with(n: int, u: int, has_u: int, v: int, has_v: int) -> tuple:
+    """Index of the subset cube's view where bit u is has_u and bit v is has_v."""
+    index = [slice(None)] * n
+    index[n - 1 - u] = has_u
+    index[n - 1 - v] = has_v
+    return tuple(index)
 
 
 def _bitset_to_bool(bits: int, size: int) -> np.ndarray:
@@ -121,21 +114,17 @@ def count_increasing_ham_paths(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -
     counts = np.zeros((size, n), dtype=np.int64)
     for v in range(n):
         counts[1 << v, v] = 1
-    cached = _count_dp_indices(n) if n <= _INDEX_CACHE_MAX_N else None
-    subsets = None if cached is not None else np.arange(size, dtype=np.int64)
+    # the same table as a cube with one length-2 axis per vertex: in C order,
+    # axis n-1-b is bit b of the subset index
+    cube = counts.reshape((2,) * n + (n,))
     us, vs = ordering.edges_by_label
     for u, v in zip(us.tolist(), vs.tolist()):
-        if cached is not None:
-            src_u, src_v = cached[(u, v)], cached[(v, u)]
-        else:
-            has_u = ((subsets >> u) & 1) == 1
-            has_v = ((subsets >> v) & 1) == 1
-            src_u = subsets[has_u & ~has_v]
-            src_v = subsets[has_v & ~has_u]
-        add_v = counts[src_u, u]
-        add_u = counts[src_v, v]
-        counts[src_u + (1 << v), v] += add_v
-        counts[src_v + (1 << u), u] += add_u
+        # the written views (subsets holding u and v) and the read views
+        # (subsets holding exactly one of them) are disjoint, so adding in
+        # place reads only counts from before this edge
+        both = _subsets_with(n, u, 1, v, 1)
+        cube[both + (v,)] += cube[_subsets_with(n, u, 1, v, 0) + (u,)]
+        cube[both + (u,)] += cube[_subsets_with(n, u, 0, v, 1) + (v,)]
     return int(counts[size - 1, :].sum())
 
 

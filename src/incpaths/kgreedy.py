@@ -127,12 +127,7 @@ def k_greedy_path(
         return len(keep)
 
     us, vs = ordering.edges_by_label
-    labels = np.sort(ordering.labels)
-    us = us.tolist()
-    vs = vs.tolist()
-    for i in range(len(us)):
-        a = us[i]
-        b = vs[i]
+    for a, b in zip(us.tolist(), vs.tolist()):
         if in_tree[a]:
             if in_pt[b]:
                 continue
@@ -152,7 +147,7 @@ def k_greedy_path(
         in_pt[child] = True
         in_tree[child] = True
         tree_edges += 1
-        tau = float(labels[i])
+        tau = float(ordering.label(attach, child))
         if tree_edges == k:
             retained = advance_into_largest_subtree()
             trace_ell.append(len(path) - 1)

@@ -27,7 +27,6 @@ point enters except where an explicit e^{-2} scale factor is applied.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -352,12 +351,6 @@ def moment_report_to_dict(report: MomentReport) -> dict:
             for sig, cls in report.census.items()
         ],
     }
-
-
-def write_moment_report(report: MomentReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(moment_report_to_dict(report), fh, indent=2)
-        fh.write("\n")
 
 
 def write_census_csv(census: dict, path) -> None:

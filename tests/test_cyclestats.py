@@ -22,7 +22,7 @@ from incpaths.cyclestats import (
     longest_cycle_distribution,
     predicted_fraction,
     sample_longest_cycle,
-    write_alpha_table,
+    write_alpha_rows,
 )
 
 
@@ -247,7 +247,7 @@ def test_alpha_table_and_csv(tmp_path):
     assert [row["k"] for row in rows] == list(range(1, 13))
     assert rows[0]["alpha"] == 1.0
     path = tmp_path / "alpha.csv"
-    write_alpha_table(path, 12)
+    write_alpha_rows(path, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,alpha,predicted_fraction,mean_ratio"
     assert len(lines) == 13
@@ -262,6 +262,22 @@ def test_alpha_limit_estimate():
     assert abs(est["richardson"] - 0.5219) < 2e-4
     with pytest.raises(CapacityError):
         alpha_limit_estimate(FLOAT_CAP)
+
+
+def test_alpha_limit_estimate_builds_float_tables_once(monkeypatch):
+    builds = []
+
+    class CountingCache(dict):
+        def update(self, **tables):
+            builds.append(tables["k"])
+            super().update(**tables)
+
+    monkeypatch.setattr(cyclestats, "_float_cache", CountingCache(k=0))
+    est = alpha_limit_estimate(50)
+    assert builds == [100]
+    # row 50 of the table built at 100 equals a cold build at 50
+    monkeypatch.setattr(cyclestats, "_float_cache", {"k": 0})
+    assert est["alpha_at_k"] == alpha(50, FLOAT)
 
 
 def test_capacity_and_argument_errors():

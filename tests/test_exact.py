@@ -23,6 +23,36 @@ def all_orderings(n):
         yield EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(perm, dtype=np.int64))
 
 
+def count_by_permutations(ordering):
+    """Oracle: vertex orders of all n vertices whose consecutive edge
+    labels strictly increase, by trying every one of the n! orders."""
+    label = ordering.label
+    return sum(
+        all(label(a, b) < label(b, c) for a, b, c in zip(seq, seq[1:], seq[2:]))
+        for seq in itertools.permutations(range(ordering.n))
+    )
+
+
+def count_by_index_tables(ordering):
+    """Reference: the counting DP that gathers and scatters through index
+    arrays of the subsets holding one endpoint of the edge but not the other."""
+    n = ordering.n
+    subsets = np.arange(1 << n, dtype=np.int64)
+    holds = [((subsets >> v) & 1) == 1 for v in range(n)]
+    counts = np.zeros((1 << n, n), dtype=np.int64)
+    for v in range(n):
+        counts[1 << v, v] = 1
+    us, vs = ordering.edges_by_label
+    for u, v in zip(us.tolist(), vs.tolist()):
+        src_u = subsets[holds[u] & ~holds[v]]
+        src_v = subsets[holds[v] & ~holds[u]]
+        add_v = counts[src_u, u]
+        add_u = counts[src_v, v]
+        counts[src_u + (1 << v), v] += add_v
+        counts[src_v + (1 << u), u] += add_u
+    return int(counts[-1].sum())
+
+
 def k3_ordering():
     # f(01)=1, f(12)=2, f(02)=3
     return EdgeOrdering(n=3, model=core.PERMUTATION, labels=np.array([1, 3, 2], dtype=np.int64))
@@ -61,6 +91,28 @@ def test_mean_count_over_all_k3_orderings():
 def test_mean_count_over_all_k4_orderings():
     total = sum(count_increasing_ham_paths(o) for o in all_orderings(4))
     assert Fraction(total, 720) == 4
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_count_matches_permutation_brute_force(n, model):
+    counts = []
+    for seed in range(8):
+        ordering = random_ordering(n, seed, model)
+        counts.append(count_increasing_ham_paths(ordering))
+        assert counts[-1] == count_by_permutations(ordering)
+    assert max(counts) > 0
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [13, 14])
+def test_count_matches_index_table_dp(n, model):
+    counts = []
+    for seed in range(4):
+        ordering = random_ordering(n, seed, model)
+        counts.append(count_increasing_ham_paths(ordering))
+        assert counts[-1] == count_by_index_tables(ordering)
+    assert max(counts) > 0
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from incpaths.cyclestats import write_alpha_table
+from incpaths.cyclestats import alpha_table, write_alpha_rows
 from incpaths.harness import (
     ExperimentConfig,
     Report,
@@ -98,7 +98,7 @@ def test_alpha_table_command_with_csv(tmp_path):
     assert out.exists()
     assert len(out.read_text().strip().splitlines()) == 13
     direct = tmp_path / "direct.csv"
-    write_alpha_table(direct, 12)
+    write_alpha_rows(direct, alpha_table(12))
     assert out.read_bytes() == direct.read_bytes()
 
 

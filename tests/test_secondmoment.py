@@ -27,7 +27,6 @@ from incpaths.secondmoment import (
     profile_census,
     s_sum_bounds,
     write_census_csv,
-    write_moment_report,
 )
 
 
@@ -307,17 +306,12 @@ def test_constant_c_rejects_negative():
         constant_C_partial(-1)
 
 
-def test_moment_report_serialization(tmp_path):
+def test_moment_report_serialization():
     report = exact_moments(4)
     d = moment_report_to_dict(report)
     assert d["first_moment"] == {"numerator": "4", "denominator": "1"}
     assert d["second_moment"] == {"numerator": "296", "denominator": "15"}
     assert sum(row["pair_count"] for row in d["census"]) == 576
-    path = tmp_path / "report.json"
-    write_moment_report(report, path)
-    import json
-
-    assert json.loads(path.read_text())["second_moment"]["numerator"] == "296"
 
 
 def test_census_csv(tmp_path):
