@@ -74,6 +74,25 @@ def all_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     return us, vs
 
 
+@lru_cache(maxsize=8)
+def _row_offsets(n: int) -> np.ndarray:
+    """offsets[w] with edge_index(w, v) == offsets[w] + v for every w < v."""
+    w = np.arange(n, dtype=np.int64)
+    offsets = w * n - w * (w + 1) // 2 - w - 1
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _is_one_to_m(labels: np.ndarray, m: int) -> bool:
+    """True iff the integer array ``labels`` holds each of 1..m exactly once."""
+    if labels.dtype.kind not in "iu" or labels.min() != 1 or labels.max() != m:
+        return False
+    # a presence mask takes half the time of np.bincount at n=2000
+    seen = np.zeros(m + 1, dtype=bool)
+    seen[labels] = True
+    return bool(seen[1:].all())
+
+
 @dataclass(frozen=True)
 class EdgeOrdering:
     """An edge ordering of K_n.
@@ -82,6 +101,12 @@ class EdgeOrdering:
     integer in 1..n(n-1)/2 for the permutation model, a real in (0,1) for
     the real model.  Instances are immutable and safe to share across
     threads.
+
+    Construction rejects permutation labels that are not exactly 1..m and
+    real labels outside the open interval (0,1), NaN included.  Real labels
+    built directly are not checked for ties: that check is a sort of all m
+    labels (about 30 ms at n=2000, on every trial), and ``random_ordering``
+    and ``read_ordering`` already guarantee distinct labels.
     """
 
     n: int
@@ -94,13 +119,31 @@ class EdgeOrdering:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if self.model not in MODELS:
             raise ValueError(f"unknown label model {self.model!r}")
-        if len(self.labels) != num_edges(self.n):
+        m = num_edges(self.n)
+        if self.labels.shape != (m,):
             raise ValueError("label array length != n(n-1)/2")
+        if self.model == PERMUTATION:
+            if not _is_one_to_m(self.labels, m):
+                raise ValueError(f"permutation labels must be exactly the integers 1..{m}")
+        elif not (self.labels.min() > 0 and self.labels.max() < 1):
+            raise ValueError("real labels must lie strictly inside (0,1)")
         self.labels.setflags(write=False)
 
     def label(self, u: int, v: int):
         """Label of edge {u, v} (int for permutation model, float for real)."""
         return self.labels[edge_index(u, v, self.n)].item()
+
+    def row(self, v: int) -> np.ndarray:
+        """Row v of ``matrix`` (float64, +inf at v), gathered in O(n) from
+        ``labels`` without building the matrix."""
+        n = self.n
+        offsets = _row_offsets(n)
+        out = np.empty(n)
+        out[:v] = self.labels[offsets[:v] + v]
+        out[v] = np.inf
+        start = offsets[v] + v + 1  # edge_index(v, v + 1)
+        out[v + 1 :] = self.labels[start : start + n - 1 - v]
+        return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -117,7 +160,12 @@ class EdgeOrdering:
     @cached_property
     def edges_by_label(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (us, vs) of all edges sorted by ascending label."""
-        order = np.argsort(self.labels)  # labels are distinct
+        if self.model == PERMUTATION:
+            # labels are exactly 1..m, so the sort is an inverse permutation
+            order = np.empty(len(self.labels), dtype=np.int64)
+            order[self.labels - 1] = np.arange(len(self.labels))
+        else:
+            order = np.argsort(self.labels)  # labels are distinct
         us, vs = all_edges(self.n)
         return us[order], vs[order]
 
@@ -256,4 +304,8 @@ def read_ordering(path) -> EdgeOrdering:
         u, v = edge_endpoints(int(np.argmin(seen)), n)
         missing = num_edges(n) - int(seen.sum())
         raise ValueError(f"{missing} edges missing from {path}, first ({u}, {v})")
+    if model == REAL:
+        ranked = np.sort(labels)
+        if np.any(ranked[1:] == ranked[:-1]):
+            raise ValueError(f"tied real labels in {path}")
     return EdgeOrdering(n=n, model=model, labels=labels)

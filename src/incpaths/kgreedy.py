@@ -10,9 +10,21 @@ increasing labels, so P stays a simple increasing path throughout.
 
 Because committed labels strictly increase, the whole run is equivalent
 to a single pass over the edges in ascending label order, checking each
-edge's eligibility against the current state; that is how this module
-implements it (one O(m) scan per run instead of rescanning candidate
-edges after every commit).
+edge's eligibility against the current state.  Only edges at a tree
+vertex can be committed, so this module merges the tree vertices' sorted
+candidate rows with a heap instead of visiting all m edges:
+
+* when a vertex first joins the tree, its row is gathered from the labels
+  and the vertices off the path with a label above tau are sorted once;
+  when it rejoins after its subtree was discarded, tau is found in that
+  sorted row by binary search;
+* the heap holds each tree vertex's next candidate.  Targets on the path
+  are skipped as soon as they are reached (path membership is permanent);
+  targets in the tree are checked only when popped, because a discarded
+  subtree makes its vertices eligible again.
+
+A run costs one row sort per distinct joined vertex plus O(log n) per
+commit and per skipped candidate.
 
 Termination when no eligible edge remains:
 
@@ -29,6 +41,7 @@ making runs fully deterministic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +107,15 @@ def k_greedy_path(
     in_tree = [False] * n
     in_pt[v0] = True
     in_tree[v0] = True
+    on_path = bytearray(n)
+    on_path[v0] = True
+    on_path_mask = np.frombuffer(on_path, dtype=bool)  # live view of on_path
+    # rows[x]: (labels, targets) of x's candidates in ascending label order,
+    # the vertices off the path with a label above tau at x's first join
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    pos = [0] * n  # index of x's queued candidate in rows[x]
+    stamp = [0] * n  # joins so far; heap entries of an earlier join are stale
+    heap: list[tuple[float, int, int]] = []
 
     tau = 0.0
     tau_prev = 0.0
@@ -106,39 +128,53 @@ def k_greedy_path(
         vertex count.  Discarded subtree vertices leave P-union-T."""
         nonlocal tree_edges
         root = path[-1]
-        best = None
-        best_sub = None
-        for child in children[root]:  # earliest-added wins ties
-            sub = _subtree_vertices(child, children)
-            if best_sub is None or len(sub) > len(best_sub):
-                best, best_sub = child, sub
-        keep = set(best_sub)
-        for child in children[root]:
-            if child == best:
-                continue
-            for v in _subtree_vertices(child, children):
-                in_pt[v] = False
-                in_tree[v] = False
-                children.pop(v, None)
-        children.pop(root)
+        subtrees = [_subtree_vertices(c, children) for c in children.pop(root)]
+        kept = max(subtrees, key=len)  # earliest-added root child wins ties
+        for sub in subtrees:
+            if sub is not kept:
+                for v in sub:
+                    in_pt[v] = False
+                    in_tree[v] = False
+                    children.pop(v, None)
         in_tree[root] = False  # root stays on the path
-        path.append(best)
-        tree_edges = len(keep) - 1
-        return len(keep)
+        del rows[root]
+        path.append(kept[0])
+        on_path[kept[0]] = True
+        tree_edges = len(kept) - 1
+        return len(kept)
 
-    us, vs = ordering.edges_by_label
-    for a, b in zip(us.tolist(), vs.tolist()):
-        if in_tree[a]:
-            if in_pt[b]:
-                continue
-            child = b
-            attach = a
-        elif in_tree[b]:
-            if in_pt[a]:
-                continue
-            child = a
-            attach = b
-        else:
+    def queue_from(x, p):
+        """Queue x's first candidate at index p or later that is off the path."""
+        labels, targets = rows[x]
+        size = len(targets)
+        while p < size and on_path[targets.item(p)]:
+            p += 1
+        pos[x] = p
+        if p < size:
+            heapq.heappush(heap, (labels.item(p), x, stamp[x]))
+
+    def join(x):
+        stamp[x] += 1
+        if x in rows:
+            queue_from(x, int(rows[x][0].searchsorted(tau, side="right")))
+            return
+        row = ordering.row(x)
+        keep = row > tau
+        keep[x] = False
+        keep &= ~on_path_mask
+        targets = np.flatnonzero(keep)
+        targets = targets[np.argsort(row[targets])]
+        rows[x] = (row[targets], targets)
+        queue_from(x, 0)
+
+    join(v0)
+    while heap:
+        label, attach, s = heapq.heappop(heap)
+        if not in_tree[attach] or s != stamp[attach]:
+            continue  # attach left the tree after this entry was queued
+        child = rows[attach][1].item(pos[attach])
+        if in_pt[child]:
+            queue_from(attach, pos[attach] + 1)
             continue
         # commit the minimum eligible edge: everything below this label was
         # already committed or is excluded by the current state
@@ -147,13 +183,17 @@ def k_greedy_path(
         in_pt[child] = True
         in_tree[child] = True
         tree_edges += 1
-        tau = float(ordering.label(attach, child))
+        tau = label
         if tree_edges == k:
             retained = advance_into_largest_subtree()
             trace_ell.append(len(path) - 1)
             trace_retained.append(retained)
             trace_waiting.append(tau - tau_prev)
             tau_prev = tau
+        if in_tree[attach]:
+            queue_from(attach, pos[attach] + 1)
+        if in_tree[child]:
+            join(child)
 
     if mode == EXHAUST:
         while tree_edges > 0:

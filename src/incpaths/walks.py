@@ -69,14 +69,13 @@ def greedy_path(ordering: EdgeOrdering, v0: int = 0) -> list[int]:
     n = ordering.n
     if not 0 <= v0 < n:
         raise ValueError(f"start vertex {v0} out of range for n={n}")
-    mat = ordering.matrix
     available = np.ones(n, dtype=bool)
     available[v0] = False
     path = [v0]
     last = float("-inf")
     v = v0
     while True:
-        row = mat[v]
+        row = ordering.row(v)
         candidates = np.where(available & (row > last), row, np.inf)
         w = int(np.argmin(candidates))
         if candidates[w] == np.inf:

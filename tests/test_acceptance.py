@@ -34,6 +34,7 @@ def check(num, description, *conditions):
     assert ok, f"criterion {num}: {description}"
 
 
+@pytest.mark.slow
 def test_criterion_01_greedy_fraction():
     start = time.time()
     report = run(ExperimentConfig(command="greedy-sim", n=2000, trials=200, seed=SEED))
@@ -48,6 +49,7 @@ def test_criterion_01_greedy_fraction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_kgreedy_matches_prediction():
     start = time.time()
     predicted = cyclestats.predicted_fraction(10)
@@ -172,6 +174,7 @@ def test_criterion_08_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_first_moment():
     m = core.num_edges(4)
     total = 0

@@ -169,6 +169,25 @@ def test_order_isomorphism(n, seed):
         assert is_increasing(real, walk) == is_increasing(perm, walk)
 
 
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [2, 3, 7, 50])
+def test_row_equals_matrix_row(n, model):
+    ordering = random_ordering(n, 4, model)
+    for v in range(n):
+        row = ordering.row(v)
+        assert row.dtype == np.float64
+        assert np.array_equal(row, ordering.matrix[v])
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+def test_edges_by_label_ascending(model):
+    ordering = random_ordering(30, 2, model)
+    us, vs = ordering.edges_by_label
+    index = us * ordering.n - us * (us + 1) // 2 + (vs - us - 1)
+    assert np.array_equal(np.sort(index), np.arange(num_edges(ordering.n)))
+    assert np.all(np.diff(ordering.labels[index]) > 0)
+
+
 def test_matrix_symmetric_inf_diagonal():
     ordering = random_ordering(7, 1, core.REAL)
     mat = ordering.matrix
@@ -203,6 +222,40 @@ def test_read_ordering_rejects_repeated_edge(tmp_path):
     # the last line names (1, 0): edge (0, 1) a second time
     path.write_text("\n".join(lines[:-1] + ["1 0 " + lines[-1].split()[2]]) + "\n")
     with pytest.raises(ValueError, match="twice"):
+        read_ordering(path)
+
+
+@pytest.mark.parametrize(
+    "n, labels",
+    [
+        # all labels equal: the subset DP would report 3 edges, brute force 1
+        (4, [1, 1, 1, 1, 1, 1]),
+        (3, [1, 7, 2]),
+    ],
+)
+def test_rejects_labels_other_than_one_to_m(n, labels):
+    with pytest.raises(ValueError, match="exactly the integers 1.."):
+        EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(labels, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -1.0])
+def test_rejects_real_label_outside_unit_interval(bad):
+    labels = np.array([0.25, bad, 0.75])
+    with pytest.raises(ValueError, match="inside"):
+        EdgeOrdering(n=3, model=core.REAL, labels=labels)
+
+
+def test_read_ordering_rejects_nan_label(tmp_path):
+    path = tmp_path / "ordering.txt"
+    path.write_text(f"n 3 {core.REAL}\n0 1 0.25\n0 2 nan\n1 2 0.75\n")
+    with pytest.raises(ValueError, match="inside"):
+        read_ordering(path)
+
+
+def test_read_ordering_rejects_tied_real_labels(tmp_path):
+    path = tmp_path / "ordering.txt"
+    path.write_text(f"n 3 {core.REAL}\n0 1 0.25\n0 2 0.75\n1 2 0.25\n")
+    with pytest.raises(ValueError, match="tied"):
         read_ordering(path)
 
 

@@ -5,15 +5,38 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incpaths import core
-from incpaths.core import CapacityError, EdgeOrdering, matching_ordering, random_ordering
+from incpaths.core import (
+    CapacityError,
+    EdgeOrdering,
+    is_increasing,
+    is_path,
+    matching_ordering,
+    random_ordering,
+)
 from incpaths.exact import (
     brute_force_longest,
     count_increasing_ham_paths,
     has_increasing_ham_path,
     longest_increasing_path_len,
 )
+from incpaths.kgreedy import MODES, k_greedy_path
+
+# a coarse grid with exact ties, one-ulp neighbours and the zero label
+# that _detie_real lifts into (0,1)
+LABEL_GRID = [
+    0.0,
+    5e-324,
+    0.125,
+    float(np.nextafter(0.25, 0.0)),
+    0.25,
+    float(np.nextafter(0.25, 1.0)),
+    0.5,
+    0.875,
+]
 
 
 def all_orderings(n):
@@ -126,6 +149,31 @@ def test_dp_matches_brute_force_real_model():
     for seed in range(10):
         ordering = random_ordering(6, seed, core.REAL)
         assert longest_increasing_path_len(ordering) == brute_force_longest(ordering)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.sampled_from(LABEL_GRID),
+                min_size=core.num_edges(n),
+                max_size=core.num_edges(n),
+            ),
+        )
+    ),
+    st.integers(1, 4),
+    st.sampled_from(MODES),
+)
+@settings(max_examples=150, deadline=None)
+def test_detied_grid_labels(n_and_labels, k, mode):
+    n, grid_labels = n_and_labels
+    labels = core._detie_real(np.array(grid_labels))
+    ordering = EdgeOrdering(n=n, model=core.REAL, labels=labels)
+    assert longest_increasing_path_len(ordering) == brute_force_longest(ordering)
+    path, _ = k_greedy_path(ordering, 0, k, mode)
+    assert is_path(path)
+    assert is_increasing(ordering, path)
 
 
 def test_brute_force_on_all_k3_orderings():

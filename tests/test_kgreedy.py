@@ -8,7 +8,14 @@ import pytest
 from incpaths import core
 from incpaths.core import is_increasing, is_path, random_ordering
 from incpaths.cyclestats import longest_cycle_distribution
-from incpaths.kgreedy import EXHAUST, STRICT, KGreedyTrace, k_greedy_path
+from incpaths.kgreedy import (
+    EXHAUST,
+    MODES,
+    STRICT,
+    KGreedyTrace,
+    _subtree_vertices,
+    k_greedy_path,
+)
 from incpaths.walks import greedy_path
 
 
@@ -72,6 +79,98 @@ def k_greedy_reference(ordering, v0, k, mode):
         tau_prev = tau
 
 
+def k_greedy_scan_reference(ordering, v0=0, k=1, mode=EXHAUST):
+    """The search as one pass over all m edges in ascending label order,
+    checking each edge against the current state (the O(m) kernel that the
+    candidate-row heap replaced, kept verbatim as a reference)."""
+    n = ordering.n
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    if not 0 <= v0 < n:
+        raise ValueError(f"start vertex {v0} out of range for n={n}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    path = [v0]
+    children: dict[int, list[int]] = {v0: []}
+    tree_edges = 0
+    in_pt = [False] * n  # vertex in P or T
+    in_tree = [False] * n
+    in_pt[v0] = True
+    in_tree[v0] = True
+
+    tau = 0.0
+    tau_prev = 0.0
+    trace_ell: list[int] = []
+    trace_retained: list[int] = []
+    trace_waiting: list[float] = []
+
+    def advance_into_largest_subtree():
+        """Step the path into the largest root-child subtree; returns its
+        vertex count.  Discarded subtree vertices leave P-union-T."""
+        nonlocal tree_edges
+        root = path[-1]
+        best = None
+        best_sub = None
+        for child in children[root]:  # earliest-added wins ties
+            sub = _subtree_vertices(child, children)
+            if best_sub is None or len(sub) > len(best_sub):
+                best, best_sub = child, sub
+        keep = set(best_sub)
+        for child in children[root]:
+            if child == best:
+                continue
+            for v in _subtree_vertices(child, children):
+                in_pt[v] = False
+                in_tree[v] = False
+                children.pop(v, None)
+        children.pop(root)
+        in_tree[root] = False  # root stays on the path
+        path.append(best)
+        tree_edges = len(keep) - 1
+        return len(keep)
+
+    us, vs = ordering.edges_by_label
+    for a, b in zip(us.tolist(), vs.tolist()):
+        if in_tree[a]:
+            if in_pt[b]:
+                continue
+            child = b
+            attach = a
+        elif in_tree[b]:
+            if in_pt[a]:
+                continue
+            child = a
+            attach = b
+        else:
+            continue
+        # commit the minimum eligible edge: everything below this label was
+        # already committed or is excluded by the current state
+        children[attach].append(child)
+        children[child] = []
+        in_pt[child] = True
+        in_tree[child] = True
+        tree_edges += 1
+        tau = float(ordering.label(attach, child))
+        if tree_edges == k:
+            retained = advance_into_largest_subtree()
+            trace_ell.append(len(path) - 1)
+            trace_retained.append(retained)
+            trace_waiting.append(tau - tau_prev)
+            tau_prev = tau
+
+    if mode == EXHAUST:
+        while tree_edges > 0:
+            advance_into_largest_subtree()
+
+    trace = KGreedyTrace(
+        ell=np.array(trace_ell, dtype=np.int64),
+        retained_subtree_size=np.array(trace_retained, dtype=np.int64),
+        waiting_time=np.array(trace_waiting),
+    )
+    return path, trace
+
+
 @pytest.mark.parametrize("mode", [STRICT, EXHAUST])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_matches_reference_implementation(k, mode):
@@ -91,6 +190,33 @@ def test_matches_reference_permutation_model():
         path, trace = k_greedy_path(ordering, 3, 3, EXHAUST)
         ref_path, _ = k_greedy_reference(ordering, 3, 3, EXHAUST)
         assert path == ref_path
+
+
+def assert_same_run_as_scan(ordering, v0, k, mode):
+    path, trace = k_greedy_path(ordering, v0, k, mode)
+    ref_path, ref_trace = k_greedy_scan_reference(ordering, v0, k, mode)
+    assert path == ref_path
+    for field in ("ell", "retained_subtree_size", "waiting_time"):
+        got, want = getattr(trace, field), getattr(ref_trace, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 15, 60, 250])
+def test_matches_scan_reference(n, model):
+    # 5 look-aheads x 2 modes x 5 seeds with varied start vertices per
+    # (n, model): 700 runs over the whole grid
+    for k in (1, 2, 3, 7, 25):
+        for mode in MODES:
+            for seed in range(5):
+                ordering = random_ordering(n, seed, model)
+                assert_same_run_as_scan(ordering, (7 * seed + k) % n, k, mode)
+
+
+@pytest.mark.parametrize("k, mode", [(10, EXHAUST), (172, STRICT)])
+def test_matches_scan_reference_at_scale(k, mode):
+    assert_same_run_as_scan(random_ordering(2000, 3, core.REAL), 0, k, mode)
 
 
 def test_k1_exhaust_equals_greedy():
