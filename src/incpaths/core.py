@@ -176,6 +176,8 @@ def _detie_real(labels: np.ndarray) -> np.ndarray:
     Ties are broken by perturbing the higher-edge-index label upward by the
     smallest representable increment; a stable sort puts the lower edge
     index first within each tie group, so the bump lands on the higher one.
+    Bumps that reach 1.0 are walked back down from the top, so a tie at the
+    largest double below 1 lowers the lower-index label instead.
     """
     labels = labels.copy()
     labels[labels <= 0.0] = np.nextafter(0.0, 1.0)
@@ -188,6 +190,11 @@ def _detie_real(labels: np.ndarray) -> np.ndarray:
         if labels[i] <= prev:
             labels[i] = np.nextafter(prev, np.inf)
         prev = labels[i]
+    ceiling = 1.0
+    for i in order[::-1]:
+        if labels[i] < ceiling:
+            break
+        labels[i] = ceiling = np.nextafter(ceiling, 0.0)
     return labels
 
 

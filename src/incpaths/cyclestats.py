@@ -13,10 +13,11 @@ E[1/L_k + 1/(L_k+1) + ... + 1/k], the predicted path fraction
 1 - exp(-1/alpha_k), and E[L_k/k] (whose limit is the Golomb-Dickman
 constant, about 0.6243).
 
-All computed tables are memoized module-wide; the exact ones grow a row
-at a time, and the float ones are built once at the largest k asked for
-(alpha_table builds them at k_max before its first row).  Construction
-is single-threaded, reads are safe to share.
+The exact cdf counts are memoized module-wide and grow a row at a time;
+a pmf row is the difference of its cdf row.  The float pmf table is not
+memoized: each call builds it at its own k, carrying one cdf column, and
+alpha_table builds it once at k_max.  Construction is single-threaded,
+reads are safe to share.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ FLOAT = "float"
 # float64 cannot represent 1/denom past this; dropped tail terms are far
 # below 1e-300 and irrelevant at the 1e-12 validation level
 _MIN_DENOM = 1 << 1020
+
+# seats per sampler chunk (16 MiB of int32 part ids); the sampled stream
+# depends on it, since trials run in chunks of _CHUNK_SEATS // k
+_CHUNK_SEATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,8 @@ def _check_k(k: int, precision: str) -> None:
 # exact tables as integer permutation counts, grown row by row on demand
 # ---------------------------------------------------------------------------
 
-# _exact[r][s]: permutations of r elements whose longest cycle is exactly s;
-# _counts[r][t]: those whose cycles all have length at most t (t = 0..r)
-_exact: list[list[int]] = [[1]]
+# _counts[r][t]: permutations of r elements whose cycles all have length
+# at most t (t = 0..r)
 _counts: list[list[int]] = [[1]]
 _factorials: list[int] = [1]
 
@@ -85,7 +89,7 @@ def _grow_exact(k: int) -> None:
     """N_n(s) = sum_j n!/((n-sj)! j! s^j) * A_{n-sj}(s-1): choose the j
     cycles of length s, then permute the rest with cycles shorter than s."""
     _factorial(k)
-    for n in range(len(_exact), k + 1):
+    for n in range(len(_counts), k + 1):
         row = [0] * (n + 1)
         for s in range(1, n + 1):
             total = 0
@@ -97,23 +101,21 @@ def _grow_exact(k: int) -> None:
                 rest -= s
                 total += ways * (_counts[rest][s - 1] if s - 1 <= rest else _factorials[rest])
             row[s] = total
-        _exact.append(row)
         _counts.append(list(itertools.accumulate(row)))
 
 
 # ---------------------------------------------------------------------------
-# float64 tables, built vectorized at the largest k requested so far
+# float64 pmf table, built vectorized one column s at a time
 # ---------------------------------------------------------------------------
 
-_float_cache: dict = {"k": 0, "P": np.zeros((1, 1)), "C": np.ones((1, 1))}
 
-
-def _float_tables(k: int):
-    if k <= _float_cache["k"]:
-        return _float_cache["P"], _float_cache["C"]
+def _float_pmf(k: int) -> np.ndarray:
+    """P[n, s] = Pr[L_n = s] for n, s = 0..k.  Column s needs only the cdf
+    column s-1, Pr[L_n <= s-1] over all n, so that one vector is carried
+    instead of a second (k+1)^2 table."""
     P = np.zeros((k + 1, k + 1))
-    C = np.zeros((k + 1, k + 1))
-    C[0, :] = 1.0  # L_0 = 0
+    below = np.zeros(k + 1)  # cdf column s-1 over n = 0..k
+    below[0] = 1.0  # L_0 = 0
     comp = np.empty(k + 1)
     acc = np.empty(k + 1)
     contrib = np.empty(k + 1)
@@ -126,15 +128,24 @@ def _float_tables(k: int):
                 break
             coef = 1.0 / denom
             contrib[:] = 0.0
-            contrib[s * j :] = coef * C[: k + 1 - s * j, s - 1]
+            contrib[s * j :] = coef * below[: k + 1 - s * j]
             y = contrib - comp
             t = acc + y
             comp = (t - acc) - y
             acc = t
         P[:, s] = acc
-        C[:, s] = C[:, s - 1] + acc
-    _float_cache.update(k=k, P=P, C=C)
-    return P, C
+        below += acc
+    return P
+
+
+# one dot product per pmf row: the pinned float reports depend on this order
+def _float_alpha(pmf: np.ndarray) -> float:
+    hs = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, len(pmf)))))
+    return float(np.dot(pmf[1:], hs[-1] - hs[:-1]))
+
+
+def _float_mean_ratio(pmf: np.ndarray) -> float:
+    return float(np.dot(np.arange(len(pmf)), pmf) / (len(pmf) - 1))
 
 
 def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLengthTable:
@@ -142,34 +153,25 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
     _check_k(k, precision)
     if precision == RATIONAL:
         _grow_exact(k)
-        total = _factorials[k]
-        return CycleLengthTable(
-            k=k,
-            precision=precision,
-            pmf=tuple(Fraction(count, total) for count in _exact[k]),
-            cdf=tuple(Fraction(count, total) for count in _counts[k]),
-        )
-    P, C = _float_tables(k)
-    return CycleLengthTable(
-        k=k, precision=precision, pmf=tuple(P[k, : k + 1]), cdf=tuple(C[k, : k + 1])
-    )
+        cdf = [Fraction(count, _factorials[k]) for count in _counts[k]]
+        pmf = [b - a for a, b in itertools.pairwise([0, *cdf])]
+    else:
+        pmf = _float_pmf(k)[k]
+        cdf = np.cumsum(pmf)  # left to right, the order the columns were added in
+    return CycleLengthTable(k=k, precision=precision, pmf=tuple(pmf), cdf=tuple(cdf))
 
 
 def alpha(k: int, precision: str = RATIONAL):
     """alpha_k = E[1/L_k + 1/(L_k+1) + ... + 1/k]; exact in rational mode."""
-    if precision == RATIONAL:
-        _check_k(k, precision)
-        _grow_exact(k)
-        # h[i] = D * H_i with D = lcm(1..k), so every harmonic tail is an integer
-        d = math.lcm(*range(1, k + 1))
-        h = [0, *itertools.accumulate(d // i for i in range(1, k + 1))]
-        counts = _exact[k]
-        total = sum(counts[s] * (h[k] - h[s - 1]) for s in range(1, k + 1))
-        return Fraction(total, _factorials[k] * d)
-    table = longest_cycle_distribution(k, precision)
-    hs = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, k + 1))))
-    pmf = np.array(table.pmf)
-    return float(np.dot(pmf[1:], hs[k] - hs[:k]))
+    _check_k(k, precision)
+    if precision == FLOAT:
+        return _float_alpha(_float_pmf(k)[k])
+    # summed by parts, alpha_k = sum_i Pr[L_k <= i] / i; with D = lcm(1..k)
+    # every term is an integer over k! D
+    _grow_exact(k)
+    d = math.lcm(*range(1, k + 1))
+    total = sum(d // i * count for i, count in enumerate(_counts[k][1:], 1))
+    return Fraction(total, _factorials[k] * d)
 
 
 def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
@@ -179,13 +181,14 @@ def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
 
 
 def golomb_dickman_estimate(k: int, precision: str = RATIONAL):
-    """E[L_k / k] from the exact pmf; tends to about 0.6243 as k grows."""
-    if precision == RATIONAL:
-        _check_k(k, precision)
-        _grow_exact(k)
-        return Fraction(sum(s * count for s, count in enumerate(_exact[k])), k * _factorials[k])
-    pmf = np.array(longest_cycle_distribution(k, precision).pmf)
-    return float(np.dot(np.arange(k + 1), pmf) / k)
+    """E[L_k / k]; tends to about 0.6243 as k grows."""
+    _check_k(k, precision)
+    if precision == FLOAT:
+        return _float_mean_ratio(_float_pmf(k)[k])
+    # E[L_k] = sum_{t<k} Pr[L_k > t]
+    _grow_exact(k)
+    total = _factorials[k]
+    return Fraction(sum(total - count for count in _counts[k][:k]), k * total)
 
 
 def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:
@@ -196,15 +199,12 @@ def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:
     """
     if 2 * k > FLOAT_CAP:
         raise CapacityError(f"need 2k <= {FLOAT_CAP} for the extrapolate, got k={k}")
-    # 2k first: row k of the float tables built at 2k equals a build at k
-    at_2k = float(alpha(2 * k, precision))
     at_k = float(alpha(k, precision))
+    at_2k = float(alpha(2 * k, precision))
     return {"k": k, "alpha_at_k": at_k, "richardson": 2 * at_2k - at_k}
 
 
-def sample_longest_cycle(
-    k: int, trials: int, seed: int, _chunk_budget: int = 1 << 22
-) -> np.ndarray:
+def sample_longest_cycle(k: int, trials: int, seed: int) -> np.ndarray:
     """Empirical pmf of the largest part after k Chinese-restaurant
     insertions (element j starts a new part with probability 1/j, else
     joins a part with probability proportional to its size).
@@ -217,7 +217,7 @@ def sample_longest_cycle(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    chunk = max(1, _chunk_budget // k)
+    chunk = max(1, _CHUNK_SEATS // k)
     counts = np.zeros(k + 1, dtype=np.int64)
     done = 0
     while done < trials:
@@ -239,21 +239,16 @@ def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
     """Rows (k, alpha, predicted_fraction, mean_ratio) for k = 1..k_max."""
     _check_k(k_max, precision)
     if precision == FLOAT:
-        # one build at k_max: row k of a larger table equals a build at k,
-        # so the loop reads rows instead of rebuilding for every k
-        _float_tables(k_max)
-    rows = []
-    for k in range(1, k_max + 1):
-        a = alpha(k, precision)
-        rows.append(
-            {
-                "k": k,
-                "alpha": float(a),
-                "predicted_fraction": 1.0 - math.exp(-1.0 / float(a)),
-                "mean_ratio": float(golomb_dickman_estimate(k, precision)),
-            }
-        )
-    return rows
+        P = _float_pmf(k_max)  # row k of the larger table equals a build at k
+        values = [(_float_alpha(P[k, : k + 1]), _float_mean_ratio(P[k, : k + 1]))
+                  for k in range(1, k_max + 1)]
+    else:
+        values = [(float(alpha(k)), float(golomb_dickman_estimate(k)))
+                  for k in range(1, k_max + 1)]
+    return [
+        {"k": k, "alpha": a, "predicted_fraction": 1.0 - math.exp(-1.0 / a), "mean_ratio": g}
+        for k, (a, g) in enumerate(values, 1)
+    ]
 
 
 def write_alpha_rows(path, rows: list[dict]) -> None:

@@ -21,11 +21,11 @@ DEFAULT_CAP = 20
 BRUTE_FORCE_CAP = 8
 
 
-def _check_cap(n: int, cap: int, bytes_per_state: float) -> None:
-    if n > cap:
+def _check_cap(n: int, bytes_per_state: float) -> None:
+    if n > DEFAULT_CAP:
         mem = n * (1 << n) * bytes_per_state
         raise CapacityError(
-            f"n={n} exceeds cap {cap}; raising the cap needs about "
+            f"n={n} exceeds cap {DEFAULT_CAP}; raising the cap needs about "
             f"{mem / 2**20:.0f} MiB of state"
         )
 
@@ -65,12 +65,12 @@ def _bitset_to_bool(bits: int, size: int) -> np.ndarray:
     ].astype(bool)
 
 
-def _reach_sets(ordering: EdgeOrdering, cap: int, stop_at_full: bool):
+def _reach_sets(ordering: EdgeOrdering, stop_at_full: bool):
     """Bit-parallel subset DP: reach[v] has bit S set iff some increasing
     path visits exactly S and ends at v.  With ``stop_at_full``, returns
     None at the first edge that completes a Hamiltonian path."""
     n = ordering.n
-    _check_cap(n, cap, 1 / 8)
+    _check_cap(n, 1 / 8)
     full_shift = (1 << n) - 1
     masks = _subset_masks_without(n)
     reach = [1 << (1 << v) for v in range(n)]  # singleton {v} reachable
@@ -85,22 +85,22 @@ def _reach_sets(ordering: EdgeOrdering, cap: int, stop_at_full: bool):
     return reach
 
 
-def longest_increasing_path_len(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> int:
+def longest_increasing_path_len(ordering: EdgeOrdering) -> int:
     """Exact number of edges in the longest increasing simple path."""
     anywhere = 0
-    for r in _reach_sets(ordering, cap, stop_at_full=False):
+    for r in _reach_sets(ordering, stop_at_full=False):
         anywhere |= r
     n = ordering.n
     reachable = _bitset_to_bool(anywhere, 1 << n)
     return int(_popcounts(n)[reachable].max()) - 1
 
 
-def has_increasing_ham_path(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> bool:
+def has_increasing_ham_path(ordering: EdgeOrdering) -> bool:
     """True iff an increasing Hamiltonian path exists; exits at first hit."""
-    return _reach_sets(ordering, cap, stop_at_full=True) is None
+    return _reach_sets(ordering, stop_at_full=True) is None
 
 
-def count_increasing_ham_paths(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -> int:
+def count_increasing_ham_paths(ordering: EdgeOrdering) -> int:
     """Exact number of vertex sequences visiting all n vertices with strictly
     increasing consecutive edge labels.
 
@@ -109,7 +109,7 @@ def count_increasing_ham_paths(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -
     edge contributes both directions.  Counts stay below 2**63 for n <= 20.
     """
     n = ordering.n
-    _check_cap(n, cap, 8)
+    _check_cap(n, 8)
     size = 1 << n
     counts = np.zeros((size, n), dtype=np.int64)
     for v in range(n):
@@ -128,11 +128,11 @@ def count_increasing_ham_paths(ordering: EdgeOrdering, cap: int = DEFAULT_CAP) -
     return int(counts[size - 1, :].sum())
 
 
-def brute_force_longest(ordering: EdgeOrdering, cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force_longest(ordering: EdgeOrdering) -> int:
     """Independent oracle: DFS over every increasing simple path."""
     n = ordering.n
-    if n > cap:
-        raise CapacityError(f"brute force supports n <= {cap}, got n={n}")
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute force supports n <= {BRUTE_FORCE_CAP}, got n={n}")
     label = ordering.label
     best = 0
 

@@ -49,6 +49,7 @@ from .core import (
     random_ordering,
 )
 from .exact import (
+    DEFAULT_CAP,
     count_increasing_ham_paths,
     has_increasing_ham_path,
     longest_increasing_path_len,
@@ -335,7 +336,7 @@ def _cmd_worstcase(config, params, threads):
         "pedestrian_total_steps": ped_total,
         "refusal_max_length": ref_max,
     }
-    if n <= 20:
+    if n <= DEFAULT_CAP:
         results["longest_increasing_path"] = longest_increasing_path_len(ordering)
         results["has_increasing_ham_path"] = bool(has_increasing_ham_path(ordering))
     return results

@@ -20,13 +20,17 @@ evaluated split sums over small/medium/large c reproduce the structure
 of the second-moment estimate E[H_n^2] ~ e * n^2, whose inner constant
 is sum_k 3^k/k! = e^3.
 
-All bound and census arithmetic is exact (Python ints and Fractions); the
-split sums are integers over the common denominator (2n-2)!.  No floating
-point enters except where an explicit e^{-2} scale factor is applied.
+Each pair is validated and its edges matched once; the signature and the
+extension count are both read from that matching.  All bound and census
+arithmetic is exact (Python ints and Fractions): E[H_n^2] and the split
+sums are integers over the common denominator (2n-2)!, each made one
+Fraction at the end.  No floating point enters except where an explicit
+e^{-2} scale factor is applied.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,91 +73,77 @@ def _check_hamiltonian(seq, n=None):
     return n
 
 
-def _path_edges(seq):
-    return [frozenset(e) for e in zip(seq, seq[1:])]
-
-
-def classify_pair(a_seq, b_seq) -> ProfileSignature:
-    """Signature (c, k, ell) of an ordered pair of Hamiltonian sequences.
-
-    Shared edges form vertex-disjoint paths; each such component is
-    automatically a contiguous run in both sequences, so segments are the
-    maximal runs of shared edges along A.
-    """
+def _match_pair(a_seq, b_seq) -> list[int]:
+    """Validate an ordered pair once and match A's edges to B's:
+    match[i] = j when A's i-th edge is B's j-th (both 1-based), else 0;
+    match[0] is unused."""
     n = _check_hamiltonian(a_seq)
     _check_hamiltonian(b_seq, n)
-    a_edges = _path_edges(a_seq)
-    shared = set(a_edges) & set(_path_edges(b_seq))
-    c = len(shared)
-    k = ell = 0
-    run = 0
-    for edge in a_edges:
-        if edge in shared:
+    pos_b = {}
+    for j, (u, v) in enumerate(zip(b_seq, b_seq[1:]), 1):
+        pos_b[u, v] = pos_b[v, u] = j
+    return [0, *(pos_b.get(e, 0) for e in zip(a_seq, a_seq[1:]))]
+
+
+def _signature(match) -> ProfileSignature:
+    """Shared edges form vertex-disjoint paths; each such component is
+    automatically a contiguous run in both sequences, so segments are the
+    maximal runs of shared edges along A."""
+    c = k = ell = run = 0
+    for j in [*match[1:], 0]:  # the trailing 0 closes a final run
+        if j:
+            c += 1
             run += 1
         elif run:
             k += 1
             ell += run == 1
             run = 0
-    if run:
-        k += 1
-        ell += run == 1
     return ProfileSignature(c=c, k=k, ell=ell)
+
+
+def _extension_count(match) -> int:
+    """Interleaving DP over prefix pairs (i, j): the last element is A's
+    i-th edge (if unshared), B's j-th edge (if unshared), or their shared
+    edge when A's i-th and B's j-th coincide.  Crossed identifications
+    never reach a nonzero state, so incompatible pairs count 0.  Only the
+    previous row is kept; row 0 extends a virtual row [1, 0, ...] through
+    the unused match[0] = 0, which makes the empty prefix pair count 1."""
+    p = len(match) - 1
+    shared_b = set(match)
+    row = [1] + [0] * p
+    for i in range(p + 1):
+        prev_row, row = row, [0] * (p + 1)
+        for j in range(p + 1):
+            total = prev_row[j] if match[i] == 0 else 0
+            if j and j not in shared_b:
+                total += row[j - 1]
+            if j and match[i] == j:
+                total += prev_row[j - 1]
+            row[j] = total
+    return row[p]
+
+
+def classify_pair(a_seq, b_seq) -> ProfileSignature:
+    """Signature (c, k, ell) of an ordered pair of Hamiltonian sequences."""
+    return _signature(_match_pair(a_seq, b_seq))
 
 
 def linear_extension_count(a_seq, b_seq) -> int:
     """Number of orderings of the union of both edge chains that are
-    increasing along A and along B (shared edges identified).
-
-    Interleaving DP over prefix pairs (i, j): the last element is A's i-th
-    edge (if unshared), B's j-th edge (if unshared), or their shared edge
-    when A's i-th and B's j-th coincide.  Crossed identifications never
-    reach a nonzero state, so incompatible pairs count 0.
-    """
-    n = _check_hamiltonian(a_seq)
-    _check_hamiltonian(b_seq, n)
-    a_edges = _path_edges(a_seq)
-    b_edges = _path_edges(b_seq)
-    pos_b = {e: j for j, e in enumerate(b_edges, 1)}
-    p = q = n - 1
-    match_a = [0] * (p + 1)
-    match_b = [0] * (q + 1)
-    for i, e in enumerate(a_edges, 1):
-        j = pos_b.get(e)
-        if j:
-            match_a[i] = j
-            match_b[j] = i
-    f = [[0] * (q + 1) for _ in range(p + 1)]
-    f[0][0] = 1
-    for i in range(p + 1):
-        row = f[i]
-        prev_row = f[i - 1] if i else None
-        for j in range(q + 1):
-            if i == 0 and j == 0:
-                continue
-            total = 0
-            if i and match_a[i] == 0:
-                total += prev_row[j]
-            if j and match_b[j] == 0:
-                total += row[j - 1]
-            if i and j and match_a[i] == j:
-                total += prev_row[j - 1]
-            row[j] = total
-    return f[p][q]
+    increasing along A and along B (shared edges identified)."""
+    return _extension_count(_match_pair(a_seq, b_seq))
 
 
 def pair_probability(a_seq, b_seq) -> Fraction:
     """Probability that a uniform edge ordering makes both sequences
     increasing: extensions / (2n-c-2)!."""
-    sig = classify_pair(a_seq, b_seq)
-    n = len(a_seq)
-    union = 2 * (n - 1) - sig.c
-    return Fraction(linear_extension_count(a_seq, b_seq), math.factorial(union))
+    match = _match_pair(a_seq, b_seq)
+    union = 2 * (len(a_seq) - 1) - _signature(match).c
+    return Fraction(_extension_count(match), math.factorial(union))
 
 
 def profile_census(n: int) -> dict[ProfileSignature, CensusClass]:
     """Exhaustive classification of all (n!)^2 ordered pairs by signature."""
-    if n > MOMENTS_CAP:
-        raise CapacityError(f"census supports n <= {MOMENTS_CAP}, got n={n}")
     return exact_moments(n).census
 
 
@@ -168,25 +158,25 @@ def exact_moments(n: int) -> MomentReport:
     # count are invariant under simultaneous relabeling, so full-class
     # values are these times n!
     identity = tuple(range(n))
-    second = Fraction(0)
     counts: dict[ProfileSignature, int] = {}
     masses: dict[ProfileSignature, int] = {}
     for b_seq in permutations(range(n)):
-        sig = classify_pair(identity, b_seq)
-        ext = linear_extension_count(identity, b_seq)
-        union = 2 * (n - 1) - sig.c
-        second += Fraction(ext, math.factorial(union))
+        match = _match_pair(identity, b_seq)
+        sig = _signature(match)
         counts[sig] = counts.get(sig, 0) + 1
-        masses[sig] = masses.get(sig, 0) + ext
+        masses[sig] = masses.get(sig, 0) + _extension_count(match)
     scale = math.factorial(n)
     census = {
         sig: CensusClass(pair_count=scale * counts[sig], mass=scale * masses[sig])
         for sig in sorted(counts)
     }
+    # E[H^2] = sum over classes of mass / (2n-c-2)!, one integer over (2n-2)!
+    up = _falling_to_common(n)
+    second = sum(cls.mass * up[sig.c] for sig, cls in census.items())
     return MomentReport(
         n=n,
         first_moment=Fraction(scale, math.factorial(n - 1)),
-        second_moment=scale * second,
+        second_moment=Fraction(second, math.factorial(2 * n - 2)),
         census=census,
     )
 
@@ -334,32 +324,33 @@ def _fraction_dict(x: Fraction) -> dict:
     return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
 
 
+def _census_rows(census: dict) -> list[dict]:
+    return [
+        {
+            "c": sig.c,
+            "k": sig.k,
+            "l": sig.ell,
+            "pair_count": cls.pair_count,
+            "mass_numerator": str(cls.mass),
+            "mass_denominator": "1",
+        }
+        for sig, cls in sorted(census.items())
+    ]
+
+
 def moment_report_to_dict(report: MomentReport) -> dict:
     return {
         "n": report.n,
         "first_moment": _fraction_dict(report.first_moment),
         "second_moment": _fraction_dict(report.second_moment),
-        "census": [
-            {
-                "c": sig.c,
-                "k": sig.k,
-                "l": sig.ell,
-                "pair_count": cls.pair_count,
-                "mass_numerator": str(cls.mass),
-                "mass_denominator": "1",
-            }
-            for sig, cls in report.census.items()
-        ],
+        "census": _census_rows(report.census),
     }
 
 
 def write_census_csv(census: dict, path) -> None:
     """Columns: c, k, l, pair_count, mass_numerator, mass_denominator."""
-    import csv
-
+    rows = _census_rows(census)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "k", "l", "pair_count", "mass_numerator", "mass_denominator"])
-        for sig in sorted(census):
-            cls = census[sig]
-            writer.writerow([sig.c, sig.k, sig.ell, cls.pair_count, str(cls.mass), "1"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)

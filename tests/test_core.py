@@ -103,6 +103,19 @@ def test_detie_breaks_exact_ties_upward():
     assert fixed[1] == 0.25 and fixed[4] == np.nextafter(0.25, 1.0)
 
 
+def test_detie_breaks_a_tie_at_the_top_double_downward():
+    top = np.nextafter(1.0, 0.0)
+    fixed = core._detie_real(np.array([0.5, top, top]))
+    assert len(set(fixed)) == len(fixed)
+    assert all(0.0 < x < 1.0 for x in fixed)
+    # the higher edge index keeps the top double, the lower one steps down
+    assert fixed[0] == 0.5 and fixed[1] == np.nextafter(top, 0.0) and fixed[2] == top
+    EdgeOrdering(n=3, model=core.REAL, labels=fixed)
+    fixed = core._detie_real(np.array([top, top, top, np.nextafter(top, 0.0)]))
+    assert len(set(fixed)) == 4 and fixed.max() == top
+    assert list(np.argsort(fixed, kind="stable")) == [3, 0, 1, 2]
+
+
 def test_matching_ordering_k4_blocks():
     ordering = matching_ordering(4)
     by_label = {}

@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from incpaths import cyclestats
 from incpaths.core import CapacityError
 from incpaths.cyclestats import (
+    _CHUNK_SEATS,
+    _MIN_DENOM,
     FLOAT,
     FLOAT_CAP,
     RATIONAL,
@@ -61,6 +62,40 @@ def longest_cycle_fraction_rows(k_max):
         pmf_rows.append(pmf)
         cdf_rows.append(list(itertools.accumulate(pmf)))
     return pmf_rows, cdf_rows
+
+
+_float_cache: dict = {"k": 0, "P": np.zeros((1, 1)), "C": np.ones((1, 1))}
+
+
+def _float_tables(k: int):
+    """Reference: the float pmf and cdf tables as a (k+1)^2 pair, built as
+    the module once built them (Kahan-compensated, one column s at a time)."""
+    if k <= _float_cache["k"]:
+        return _float_cache["P"], _float_cache["C"]
+    P = np.zeros((k + 1, k + 1))
+    C = np.zeros((k + 1, k + 1))
+    C[0, :] = 1.0  # L_0 = 0
+    comp = np.empty(k + 1)
+    acc = np.empty(k + 1)
+    contrib = np.empty(k + 1)
+    for s in range(1, k + 1):
+        acc[:] = 0.0
+        comp[:] = 0.0
+        for j in range(1, k // s + 1):
+            denom = math.factorial(j) * s**j
+            if denom > _MIN_DENOM:
+                break
+            coef = 1.0 / denom
+            contrib[:] = 0.0
+            contrib[s * j :] = coef * C[: k + 1 - s * j, s - 1]
+            y = contrib - comp
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+        P[:, s] = acc
+        C[:, s] = C[:, s - 1] + acc
+    _float_cache.update(k=k, P=P, C=C)
+    return P, C
 
 
 def harmonic_numbers(k):
@@ -184,11 +219,21 @@ def test_alpha_monotone_and_bounded_float():
     assert all(a > 0.52 for a in values)
 
 
-def test_float_table_built_once_equals_cold_builds(monkeypatch):
+def test_float_rows_equal_two_table_reference():
+    for k in (1, 7, 60, 400, 816):
+        P, C = _float_tables(k)
+        table = longest_cycle_distribution(k, FLOAT)
+        assert table.pmf == tuple(P[k, : k + 1])
+        assert table.cdf == tuple(C[k, : k + 1])
+        pmf = np.array(P[k, : k + 1])
+        hs = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, k + 1))))
+        assert alpha(k, FLOAT) == float(np.dot(pmf[1:], hs[k] - hs[:k]))
+        assert golomb_dickman_estimate(k, FLOAT) == float(np.dot(np.arange(k + 1), pmf) / k)
+
+
+def test_float_table_built_once_equals_cold_builds():
     rows = alpha_table(60, FLOAT)
     for k in range(1, 61):
-        # an empty cache makes alpha(k) build the float tables at size k
-        monkeypatch.setattr(cyclestats, "_float_cache", {"k": 0})
         a = alpha(k, FLOAT)
         assert rows[k - 1]["alpha"] == a
         assert rows[k - 1]["predicted_fraction"] == 1.0 - math.exp(-1.0 / a)
@@ -224,11 +269,13 @@ def test_sampler_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_sampler_chunking_consistent():
-    # chunk size must not change the sampled stream
-    a = sample_longest_cycle(6, 1000, seed=9, _chunk_budget=6 * 64)
-    b = sample_longest_cycle(6, 1000, seed=9, _chunk_budget=6 * 64)
+def test_sampler_multi_chunk_deterministic():
+    k, trials = 2000, 5000
+    assert trials > 2 * (_CHUNK_SEATS // k)  # at least three chunks
+    a = sample_longest_cycle(k, trials, seed=9)
+    b = sample_longest_cycle(k, trials, seed=9)
     assert np.array_equal(a, b)
+    assert np.rint(a * trials).sum() == trials
 
 
 @pytest.mark.parametrize("k,trials", [(5, 200_000), (100, 50_000)])
@@ -262,22 +309,7 @@ def test_alpha_limit_estimate():
     assert abs(est["richardson"] - 0.5219) < 2e-4
     with pytest.raises(CapacityError):
         alpha_limit_estimate(FLOAT_CAP)
-
-
-def test_alpha_limit_estimate_builds_float_tables_once(monkeypatch):
-    builds = []
-
-    class CountingCache(dict):
-        def update(self, **tables):
-            builds.append(tables["k"])
-            super().update(**tables)
-
-    monkeypatch.setattr(cyclestats, "_float_cache", CountingCache(k=0))
-    est = alpha_limit_estimate(50)
-    assert builds == [100]
-    # row 50 of the table built at 100 equals a cold build at 50
-    monkeypatch.setattr(cyclestats, "_float_cache", {"k": 0})
-    assert est["alpha_at_k"] == alpha(50, FLOAT)
+    assert alpha_limit_estimate(50)["alpha_at_k"] == alpha(50, FLOAT)
 
 
 def test_capacity_and_argument_errors():

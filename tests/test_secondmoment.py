@@ -49,6 +49,35 @@ def random_hamiltonian_pair(rng, n):
     return [int(x) for x in a], [int(x) for x in b]
 
 
+def classify_pair_by_edge_sets(a_seq, b_seq):
+    """Reference: the signature from A's edges intersected with B's as sets,
+    segments being the maximal runs of shared edges along A."""
+    a_edges = [frozenset(e) for e in zip(a_seq, a_seq[1:])]
+    shared = set(a_edges) & {frozenset(e) for e in zip(b_seq, b_seq[1:])}
+    c = len(shared)
+    k = ell = 0
+    run = 0
+    for edge in a_edges:
+        if edge in shared:
+            run += 1
+        elif run:
+            k += 1
+            ell += run == 1
+            run = 0
+    if run:
+        k += 1
+        ell += run == 1
+    return ProfileSignature(c=c, k=k, ell=ell)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classify_matches_edge_set_reference_on_every_pair(n):
+    seqs = list(itertools.permutations(range(n)))
+    for a in seqs:
+        for b in seqs:
+            assert classify_pair(a, b) == classify_pair_by_edge_sets(a, b)
+
+
 def test_classify_identical():
     for n in (3, 5, 8):
         a = list(range(n))
@@ -322,3 +351,5 @@ def test_census_csv(tmp_path):
     assert lines[0] == "c,k,l,pair_count,mass_numerator,mass_denominator"
     total = sum(int(line.split(",")[3]) for line in lines[1:])
     assert total == 576
+    rows = moment_report_to_dict(exact_moments(4))["census"]
+    assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
