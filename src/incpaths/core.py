@@ -22,6 +22,9 @@ MODELS = (PERMUTATION, REAL)
 #: PRNG pinned for reproducibility; recorded in every harness report.
 PRNG_NAME = f"numpy-PCG64-{np.__version__}"
 
+#: Largest n for which an ordering is built (about 5e7 labels, 400 MB).
+ORDERING_CAP = 10_000
+
 
 class CapacityError(ValueError):
     """A size parameter exceeds the configured capacity cap."""
@@ -102,11 +105,9 @@ class EdgeOrdering:
     the real model.  Instances are immutable and safe to share across
     threads.
 
-    Construction rejects permutation labels that are not exactly 1..m and
-    real labels outside the open interval (0,1), NaN included.  Real labels
-    built directly are not checked for ties: that check is a sort of all m
-    labels (about 30 ms at n=2000, on every trial), and ``random_ordering``
-    and ``read_ordering`` already guarantee distinct labels.
+    Construction rejects permutation labels that are not exactly 1..m, and
+    real labels that are tied or lie outside the open interval (0,1), NaN
+    included; the real check is one sort of all m labels.
     """
 
     n: int
@@ -125,8 +126,12 @@ class EdgeOrdering:
         if self.model == PERMUTATION:
             if not _is_one_to_m(self.labels, m):
                 raise ValueError(f"permutation labels must be exactly the integers 1..{m}")
-        elif not (self.labels.min() > 0 and self.labels.max() < 1):
-            raise ValueError("real labels must lie strictly inside (0,1)")
+        else:
+            ranked = np.sort(self.labels)  # NaN sorts last
+            if not (ranked[0] > 0 and ranked[-1] < 1):
+                raise ValueError("real labels must lie strictly inside (0,1)")
+            if np.any(ranked[1:] == ranked[:-1]):
+                raise ValueError("tied real labels")
         self.labels.setflags(write=False)
 
     def label(self, u: int, v: int):
@@ -181,9 +186,6 @@ def _detie_real(labels: np.ndarray) -> np.ndarray:
     """
     labels = labels.copy()
     labels[labels <= 0.0] = np.nextafter(0.0, 1.0)
-    sorted_view = np.sort(labels)
-    if np.all(sorted_view[1:] > sorted_view[:-1]):
-        return labels  # no ties, the overwhelmingly common case
     order = np.argsort(labels, kind="stable")
     prev = 0.0
     for i in order:
@@ -198,18 +200,29 @@ def _detie_real(labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering:
-    """Uniformly random edge ordering, deterministic given (n, seed, model)."""
+def _check_size(n: int, model: str) -> None:
+    """Reject an ordering request before its n(n-1)/2 labels are allocated."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
+    if n > ORDERING_CAP:
+        raise CapacityError(f"orderings support n <= {ORDERING_CAP}, got n={n}")
     if model not in MODELS:
         raise ValueError(f"unknown label model {model!r}")
+
+
+def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering:
+    """Uniformly random edge ordering, deterministic given (n, seed, model)."""
+    _check_size(n, model)
     rng = np.random.default_rng(seed)
     m = num_edges(n)
     if model == PERMUTATION:
         labels = rng.permutation(m).astype(np.int64) + 1
     else:
-        labels = _detie_real(rng.random(m))
+        labels = rng.random(m)
+        try:
+            return EdgeOrdering(n=n, model=model, labels=labels, seed=seed)
+        except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
+            labels = _detie_real(labels)
     return EdgeOrdering(n=n, model=model, labels=labels, seed=seed)
 
 
@@ -223,6 +236,7 @@ def matching_ordering(n: int) -> EdgeOrdering:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"need even n >= 2, got n={n}")
+    _check_size(n, PERMUTATION)
     labels = np.zeros(num_edges(n), dtype=np.int64)
     label = 1
     for r in range(n - 1):
@@ -295,8 +309,7 @@ def read_ordering(path) -> EdgeOrdering:
         if len(header) != 3 or header[0] != "n":
             raise ValueError(f"bad ordering file header: {header}")
         n, model = int(header[1]), header[2]
-        if model not in MODELS:
-            raise ValueError(f"unknown label model {model!r}")
+        _check_size(n, model)
         dtype = np.int64 if model == PERMUTATION else np.float64
         labels = np.zeros(num_edges(n), dtype=dtype)
         seen = np.zeros(num_edges(n), dtype=bool)
@@ -311,8 +324,4 @@ def read_ordering(path) -> EdgeOrdering:
         u, v = edge_endpoints(int(np.argmin(seen)), n)
         missing = num_edges(n) - int(seen.sum())
         raise ValueError(f"{missing} edges missing from {path}, first ({u}, {v})")
-    if model == REAL:
-        ranked = np.sort(labels)
-        if np.any(ranked[1:] == ranked[:-1]):
-            raise ValueError(f"tied real labels in {path}")
     return EdgeOrdering(n=n, model=model, labels=labels)

@@ -22,7 +22,6 @@ reads are safe to share.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -249,12 +248,3 @@ def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
         {"k": k, "alpha": a, "predicted_fraction": 1.0 - math.exp(-1.0 / a), "mean_ratio": g}
         for k, (a, g) in enumerate(values, 1)
     ]
-
-
-def write_alpha_rows(path, rows: list[dict]) -> None:
-    """CSV export of rows already computed by alpha_table."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["k", "alpha", "predicted_fraction", "mean_ratio"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

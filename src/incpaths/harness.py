@@ -6,6 +6,11 @@ from the master seed through a SplitMix64 mix, so results are bit-stable
 across runs and worker counts.  Wall-clock duration and the worker count
 live in a separate ``meta`` block, outside the reproducible part.
 
+A trial draws its ordering in ``_trial`` and measures it; the trials of a
+command become series, plus what its reducer derives, in
+``_cmd_trial_series``.  ``run`` alone writes ``--out``: a .csv path gets
+the command's ``Command.rows``, any other path the JSON report.
+
 Commands
 --------
 greedy-sim    mean greedy-path fraction over random orderings
@@ -27,6 +32,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -35,6 +41,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,7 +97,7 @@ class ExperimentConfig:
             if name not in params and name not in command.optional:
                 raise ValueError(f"{self.command} takes no --{name}")
             params[name] = value
-        if self.out and self.out.endswith(".csv") and not command.csv:
+        if self.out and self.out.endswith(".csv") and command.rows is None:
             raise ValueError(f"{self.command} has no CSV export: {self.out}")
         params["command"] = self.command
         params["seed"] = self.seed
@@ -154,11 +161,11 @@ def _series(values, emit_raw: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-trial kernels (module level so worker processes can import them)
+# trials (measures are module level so worker processes can import them)
 # ---------------------------------------------------------------------------
 
 
-def _walk_lengths(ordering):
+def _walk_lengths(ordering, params=None):
     """(longest pedestrian walk, total pedestrian steps, longest refusal
     path), all in edges."""
     walks = pedestrian_walks(ordering)
@@ -170,59 +177,51 @@ def _walk_lengths(ordering):
     )
 
 
-def _trial_greedy(params, seed):
-    n = params["n"]
-    ordering = random_ordering(n, seed, params["model"])
-    return (len(greedy_path(ordering, 0)) - 1) / n
+def _greedy_fraction(ordering, params):
+    return (len(greedy_path(ordering, 0)) - 1) / ordering.n
 
 
-def _trial_kgreedy(params, seed):
-    n = params["n"]
-    ordering = random_ordering(n, seed, params["model"])
-    path, _ = k_greedy_path(ordering, 0, params["k"], params["mode"])
-    return (len(path) - 1) / n
+def _kgreedy_fraction(ordering, params):
+    return (len(k_greedy_path(ordering, 0, params["k"], params["mode"])[0]) - 1) / ordering.n
 
 
-def _trial_walks(params, seed):
-    return _walk_lengths(random_ordering(params["n"], seed, params["model"]))
-
-
-def _trial_hamprob(params, seed):
-    ordering = random_ordering(params["n"], seed, params["model"])
+def _has_ham_path(ordering, params):
     return 1 if has_increasing_ham_path(ordering) else 0
 
 
-def _trial_count(params, seed):
-    ordering = random_ordering(params["n"], seed, params["model"])
+def _ham_path_count(ordering, params):
     return float(count_increasing_ham_paths(ordering))
 
 
-def _run_trials(kernel, params, threads):
+def _trial(measure, params, seed):
+    """Draw the ordering for one trial seed and measure it."""
+    return measure(random_ordering(params["n"], seed, params["model"]), params)
+
+
+def _run_trials(measure, params, threads):
     trials = params["trials"]
     seeds = [trial_seed(params["seed"], t) for t in range(trials)]
-    task = partial(kernel, params)
+    task = partial(_trial, measure, params)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(task, seeds, chunksize=max(1, trials // (4 * threads))))
     return list(map(task, seeds))
 
 
-# ---------------------------------------------------------------------------
-# command implementations
-# ---------------------------------------------------------------------------
+def _cmd_trial_series(measure, keys, config, params, threads, reduce=None):
+    """One series per key (a measure returns a tuple for several keys), plus
+    the entries ``reduce(params, *columns)`` derives from them."""
+    values = _run_trials(measure, params, threads)
+    columns = [values] if len(keys) == 1 else [list(col) for col in zip(*values)]
+    results = {key: _series(col, config.emit_raw) for key, col in zip(keys, columns)}
+    if reduce is not None:
+        results.update(reduce(params, *columns))
+    return results
 
 
-def _cmd_trial_series(kernel, key, config, params, threads):
-    return {key: _series(_run_trials(kernel, params, threads), config.emit_raw)}
-
-
-def _cmd_walks(config, params, threads):
-    ped_max, ped_total, ref_max = zip(*_run_trials(_trial_walks, params, threads))
+def _walk_guarantees(params, ped_max, ped_total, ref_max):
     n = params["n"]
     return {
-        "pedestrian_max_length": _series(list(ped_max), config.emit_raw),
-        "pedestrian_total_steps": _series(list(ped_total), config.emit_raw),
-        "refusal_max_length": _series(list(ref_max), config.emit_raw),
         "walk_guarantee": n - 1,
         "path_guarantee": math.ceil(math.sqrt(n - 1)),
         "all_walk_guarantees_met": bool(min(ped_max) >= n - 1),
@@ -231,12 +230,18 @@ def _cmd_walks(config, params, threads):
     }
 
 
+def _expected_mean(params, counts):
+    return {"expected_mean": params["n"]}
+
+
+# ---------------------------------------------------------------------------
+# other command implementations
+# ---------------------------------------------------------------------------
+
+
 def _cmd_alpha_table(config, params, threads):
     rows = cyclestats.alpha_table(params["k"], params["precision"])
-    if config.out and config.out.endswith(".csv"):
-        cyclestats.write_alpha_rows(config.out, rows)
-    last = rows[-1]
-    return {"rows": rows, "k_max": params["k"], "last_row": last}
+    return {"rows": rows, "k_max": params["k"], "last_row": rows[-1]}
 
 
 def _cmd_cycles_mc(config, params, threads):
@@ -264,20 +269,15 @@ def _cmd_cycles_mc(config, params, threads):
 
 def _cmd_moments(config, params, threads):
     if "trials" in params:
-        return {**_cmd_trial_series(_trial_count, "count", config, params, threads),
-                "expected_mean": params["n"]}
-    report = secondmoment.exact_moments(params["n"])
-    return secondmoment.moment_report_to_dict(report)
+        return _cmd_trial_series(_ham_path_count, ("count",), config, params, threads,
+                                 reduce=_expected_mean)
+    return secondmoment.moment_report_to_dict(secondmoment.exact_moments(params["n"]))
 
 
 def _cmd_census(config, params, threads):
-    census = secondmoment.profile_census(params["n"])
-    if config.out and config.out.endswith(".csv"):
-        secondmoment.write_census_csv(census, config.out)
     n = params["n"]
-    recombined = sum(
-        (cls.mass / math.factorial(2 * n - sig.c - 2) for sig, cls in census.items())
-    )
+    report = secondmoment.exact_moments(n)
+    census = report.census
     disjoint = census.get(secondmoment.ProfileSignature(0, 0, 0))
     results = {
         "n": n,
@@ -287,7 +287,7 @@ def _cmd_census(config, params, threads):
             for sig, cls in sorted(census.items())
         ],
         "total_pairs": sum(cls.pair_count for cls in census.values()),
-        "recombined_second_moment": float(recombined),
+        "recombined_second_moment": float(report.second_moment),
     }
     if disjoint is not None:
         # measured fraction of edge-disjoint pairs against its asymptotic
@@ -295,6 +295,12 @@ def _cmd_census(config, params, threads):
         results["disjoint_pair_fraction"] = disjoint.pair_count / math.factorial(n) ** 2
         results["disjoint_pair_fraction_limit"] = math.exp(-2)
     return results
+
+
+def _census_csv_rows(results):
+    """``classes`` under the census CSV columns; every mass is an integer."""
+    return [{"c": r["c"], "k": r["k"], "l": r["l"], "pair_count": r["pair_count"],
+             "mass_numerator": r["mass"], "mass_denominator": "1"} for r in results["classes"]]
 
 
 def _cmd_bounds(config, params, threads):
@@ -345,28 +351,33 @@ def _cmd_worstcase(config, params, threads):
 class Command(NamedTuple):
     """One CLI command: its default parameters, the function
     ``impl(config, params, threads)`` that returns its results block, the
-    parameters it also takes without a default, and whether an ``out``
-    ending in .csv selects a tabular export."""
+    parameters it also takes without a default, and, for a command with a
+    tabular export, the function ``rows(results)`` that maps its results
+    block to the CSV rows an ``out`` ending in .csv receives."""
 
     defaults: dict
     impl: Callable
     optional: tuple = ()
-    csv: bool = False
+    rows: Callable | None = None
 
 
 COMMANDS = {
     "greedy-sim": Command(dict(n=2000, trials=200, model=REAL),
-                          partial(_cmd_trial_series, _trial_greedy, "fraction")),
+                          partial(_cmd_trial_series, _greedy_fraction, ("fraction",))),
     "kgreedy-sim": Command(dict(n=2000, k=10, trials=100, model=REAL, mode=EXHAUST),
-                           partial(_cmd_trial_series, _trial_kgreedy, "fraction")),
-    "walks-demo": Command(dict(n=30, trials=100, model=PERMUTATION), _cmd_walks),
+                           partial(_cmd_trial_series, _kgreedy_fraction, ("fraction",))),
+    "walks-demo": Command(dict(n=30, trials=100, model=PERMUTATION),
+                          partial(_cmd_trial_series, _walk_lengths,
+                                  ("pedestrian_max_length", "pedestrian_total_steps",
+                                   "refusal_max_length"),
+                                  reduce=_walk_guarantees)),
     "alpha-table": Command(dict(k=100, precision=cyclestats.RATIONAL), _cmd_alpha_table,
-                           csv=True),
+                           rows=itemgetter("rows")),
     "cycles-mc": Command(dict(k=20, trials=100_000), _cmd_cycles_mc),
     "hamprob": Command(dict(n=12, trials=2000, model=PERMUTATION),
-                       partial(_cmd_trial_series, _trial_hamprob, "existence")),
+                       partial(_cmd_trial_series, _has_ham_path, ("existence",))),
     "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments, optional=("trials",)),
-    "census": Command(dict(n=5), _cmd_census, csv=True),
+    "census": Command(dict(n=5), _cmd_census, rows=_census_csv_rows),
     "bounds": Command(dict(n=100), _cmd_bounds),
     "constant-c": Command(dict(k=80), _cmd_constant_c),
     "worstcase": Command(dict(n=10), _cmd_worstcase),
@@ -390,17 +401,24 @@ def run(config: ExperimentConfig) -> Report:
     threads = config.threads if config.threads is not None else default_threads()
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
+    command = COMMANDS[config.command]
     start = time.time()
-    results = COMMANDS[config.command].impl(config, params, threads)
+    results = command.impl(config, params, threads)
     report = Report(
         config=params,
         results=results,
         meta={"duration_seconds": time.time() - start, "threads": threads},
     )
-    if config.out and not config.out.endswith(".csv"):
-        with open(config.out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+    if config.out:
+        with open(config.out, "w", newline="") as fh:
+            if config.out.endswith(".csv"):
+                rows = command.rows(results)
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+            else:
+                fh.write(report.to_json())
+                fh.write("\n")
     return report
 
 
@@ -429,20 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    model = {"perm": PERMUTATION, "real": REAL, None: None}[args.model]
-    config = ExperimentConfig(
-        command=args.command,
-        n=args.n,
-        k=args.k,
-        trials=args.trials,
-        seed=args.seed,
-        model=model,
-        mode=args.mode,
-        precision=args.precision,
-        out=args.out,
-        threads=args.threads,
-        emit_raw=args.emit_raw,
-    )
+    args.model = {"perm": PERMUTATION, "real": REAL, None: None}[args.model]
+    config = ExperimentConfig(**vars(args))
     try:
         report = run(config)
     except CapacityError as exc:

@@ -30,7 +30,6 @@ e^{-2} scale factor is applied.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,15 +303,16 @@ def constant_C_partial(c_max: int) -> Fraction:
     to e^3 = 20.0855... as c_max grows.  Exact rational."""
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
-    total = Fraction(0)
+    # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max
+    up = [math.factorial(c_max) // math.factorial(k) for k in range(c_max + 1)]
+    total = 0
     for c in range(c_max + 1):
         for k in range(0, c + 1):
             inner = 0
             for ell in range(max(0, 2 * k - c), k + 1):
                 inner += math.comb(k, ell) * _compositions_min2(c - ell, k - ell) * 2**ell
-            if inner:
-                total += Fraction(inner * 2**k, math.factorial(k) * 2**c)
-    return total
+            total += inner * up[k] << (k + c_max - c)
+    return Fraction(total, up[0] << c_max)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +345,3 @@ def moment_report_to_dict(report: MomentReport) -> dict:
         "second_moment": _fraction_dict(report.second_moment),
         "census": _census_rows(report.census),
     }
-
-
-def write_census_csv(census: dict, path) -> None:
-    """Columns: c, k, l, pair_count, mass_numerator, mass_denominator."""
-    rows = _census_rows(census)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)

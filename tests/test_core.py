@@ -93,6 +93,22 @@ def test_random_ordering_rejects_small_n():
         random_ordering(1, 0)
 
 
+def test_random_real_labels_are_the_detied_draw(monkeypatch):
+    # construction accepts a draw without zeros or ties as it is, which is
+    # what _detie_real returns for it
+    for seed in range(20):
+        raw = np.random.default_rng(seed).random(num_edges(30))
+        assert np.array_equal(random_ordering(30, seed, core.REAL).labels, core._detie_real(raw))
+    # a draw with a zero and a tie is rejected at construction and detied
+    class TiedRng:
+        def random(self, m):
+            return np.array([0.5, 0.0, 0.5])
+
+    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: TiedRng())
+    labels = random_ordering(3, 0, core.REAL).labels
+    assert np.array_equal(labels, core._detie_real(TiedRng().random(3)))
+
+
 def test_detie_breaks_exact_ties_upward():
     labels = np.array([0.5, 0.25, 0.5, 0.0, 0.25])
     fixed = core._detie_real(labels)
@@ -262,6 +278,18 @@ def test_read_ordering_rejects_nan_label(tmp_path):
     path = tmp_path / "ordering.txt"
     path.write_text(f"n 3 {core.REAL}\n0 1 0.25\n0 2 nan\n1 2 0.75\n")
     with pytest.raises(ValueError, match="inside"):
+        read_ordering(path)
+
+
+def test_rejects_tied_real_labels():
+    with pytest.raises(ValueError, match="tied"):
+        EdgeOrdering(n=3, model=core.REAL, labels=np.array([0.25, 0.75, 0.25]))
+
+
+def test_read_ordering_rejects_n_over_cap_before_allocating(tmp_path):
+    path = tmp_path / "ordering.txt"
+    path.write_text(f"n 1000000 {core.REAL}\n")
+    with pytest.raises(core.CapacityError, match="n <= 10000"):
         read_ordering(path)
 
 

@@ -23,8 +23,8 @@ from incpaths.cyclestats import (
     longest_cycle_distribution,
     predicted_fraction,
     sample_longest_cycle,
-    write_alpha_rows,
 )
+from incpaths.harness import ExperimentConfig, run
 
 
 def longest_cycle_pmf_enumeration(k):
@@ -294,7 +294,7 @@ def test_alpha_table_and_csv(tmp_path):
     assert [row["k"] for row in rows] == list(range(1, 13))
     assert rows[0]["alpha"] == 1.0
     path = tmp_path / "alpha.csv"
-    write_alpha_rows(path, rows)
+    run(ExperimentConfig(command="alpha-table", k=12, out=str(path)))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,alpha,predicted_fraction,mean_ratio"
     assert len(lines) == 13

@@ -1,11 +1,12 @@
 """Tests for incpaths.harness."""
 
+import csv
 import json
 import math
 
 import pytest
 
-from incpaths.cyclestats import alpha_table, write_alpha_rows
+from incpaths.cyclestats import alpha_table
 from incpaths.harness import (
     ExperimentConfig,
     Report,
@@ -55,8 +56,18 @@ def test_trial_seed_mixing():
     assert trial_seed(42, 7) == trial_seed(42, 7)
 
 
-def test_reports_bit_identical_across_runs_and_threads():
-    base = dict(command="greedy-sim", n=60, trials=8, seed=11)
+@pytest.mark.parametrize(
+    "base",
+    [
+        dict(command="greedy-sim", n=60, trials=8, seed=11),
+        # tuple measures through the process pool
+        dict(command="walks-demo", n=12, trials=8, seed=11, emit_raw=True),
+        # the Monte Carlo branch, whose reducer adds expected_mean
+        dict(command="moments", n=6, trials=8, seed=11, emit_raw=True),
+    ],
+    ids=["greedy-sim", "walks-demo", "moments-trials"],
+)
+def test_reports_bit_identical_across_runs_and_threads(base):
     one = run(ExperimentConfig(**base, threads=1))
     again = run(ExperimentConfig(**base, threads=1))
     parallel = run(ExperimentConfig(**base, threads=2))
@@ -97,9 +108,9 @@ def test_alpha_table_command_with_csv(tmp_path):
     assert report.results["last_row"]["k"] == 12
     assert out.exists()
     assert len(out.read_text().strip().splitlines()) == 13
-    direct = tmp_path / "direct.csv"
-    write_alpha_rows(direct, alpha_table(12))
-    assert out.read_bytes() == direct.read_bytes()
+    with open(out, newline="") as fh:
+        rows = [{key: float(v) for key, v in row.items()} for row in csv.DictReader(fh)]
+    assert rows == alpha_table(12) == report.results["rows"]  # floats round-trip
 
 
 def test_cycles_mc_matches_exact():
@@ -173,6 +184,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["greedy-sim", "--n", "1000000", "--trials", "1"], ["worstcase", "--n", "1000000"]],
+    ids=["greedy-sim", "worstcase"],
+)
+def test_cli_exits_3_before_allocating_an_ordering_over_the_cap(argv, capsys):
+    assert main(argv) == 3
+    assert "n <= 10000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

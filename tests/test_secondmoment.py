@@ -10,6 +10,7 @@ import pytest
 from incpaths import core
 from incpaths.core import CapacityError, EdgeOrdering
 from incpaths.exact import count_increasing_ham_paths
+from incpaths.harness import ExperimentConfig, run
 from incpaths.secondmoment import (
     CensusClass,
     MomentReport,
@@ -26,7 +27,6 @@ from incpaths.secondmoment import (
     pair_probability,
     profile_census,
     s_sum_bounds,
-    write_census_csv,
 )
 
 
@@ -330,6 +330,24 @@ def test_constant_c_partial():
     assert err < mpmath.mpf("1e-6")
 
 
+def constant_C_fraction_sum(c_max):
+    """Reference: the partial sum with one Fraction addition per (c, k)."""
+    total = Fraction(0)
+    for c in range(c_max + 1):
+        for k in range(0, c + 1):
+            inner = 0
+            for ell in range(max(0, 2 * k - c), k + 1):
+                inner += math.comb(k, ell) * _compositions_min2(c - ell, k - ell) * 2**ell
+            if inner:
+                total += Fraction(inner * 2**k, math.factorial(k) * 2**c)
+    return total
+
+
+@pytest.mark.parametrize("c_max", [0, 1, 2, 5, 30, 80, 120])
+def test_constant_c_partial_equals_fraction_sum(c_max):
+    assert constant_C_partial(c_max) == constant_C_fraction_sum(c_max)
+
+
 def test_constant_c_rejects_negative():
     with pytest.raises(ValueError):
         constant_C_partial(-1)
@@ -344,9 +362,8 @@ def test_moment_report_serialization():
 
 
 def test_census_csv(tmp_path):
-    census = profile_census(4)
     path = tmp_path / "census.csv"
-    write_census_csv(census, path)
+    run(ExperimentConfig(command="census", n=4, out=str(path)))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "c,k,l,pair_count,mass_numerator,mass_denominator"
     total = sum(int(line.split(",")[3]) for line in lines[1:])
