@@ -1,16 +1,17 @@
 """Exact small-n oracles for increasing paths.
 
-All three main operations process edges in ascending label order over
-subset states (S, v) = "some increasing path visits exactly S and ends at
-v".  Labels are distinct, so each label step adds one edge and new states
-never chain within a step.  Existence and longest-path use bit-parallel
-subset sets (one big integer per end vertex, one bit per subset).
-Counting uses an int64 table viewed as a strided subset cube, one
-length-2 axis per vertex, so each edge is two in-place slice additions.
+All three main operations run one bit-parallel subset DP over states
+(S, v) = "some increasing path visits exactly S and ends at v", processing
+edges in ascending label order.  Labels are distinct, so each label step
+adds one edge and new states never chain within a step.  The DP keeps one
+big integer per end vertex v holding one w-bit field per subset S.
+Existence and longest-path use 1-bit fields (the set of reachable S);
+counting uses fields wide enough to hold the number of such paths.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -21,26 +22,35 @@ DEFAULT_CAP = 20
 BRUTE_FORCE_CAP = 8
 
 
-def _check_cap(n: int, bytes_per_state: float) -> None:
+def _count_width(n: int) -> int:
+    """Field width that holds any count: a path through S ending at v is an
+    order of the other |S|-1 vertices, so count[S, v] <= (n-1)! < 2**w and
+    no field ever carries into its neighbour."""
+    return math.factorial(n - 1).bit_length()
+
+
+def _check_cap(n: int) -> None:
     if n > DEFAULT_CAP:
-        mem = n * (1 << n) * bytes_per_state
+        # the widest DP, counting: n field rows and n mask rows of w bits per subset
+        mem = 2 * n * (1 << n) * _count_width(n) / 8
         raise CapacityError(
             f"n={n} exceeds cap {DEFAULT_CAP}; raising the cap needs about "
-            f"{mem / 2**20:.0f} MiB of state"
+            f"{mem / 2**20:.0f} MiB of state to count paths"
         )
 
 
-@lru_cache(maxsize=None)
-def _subset_masks_without(n: int) -> tuple:
-    """masks[v] has bit S set for every subset index S with v not in S."""
-    size = 1 << n
+@lru_cache(maxsize=2)  # the 1-bit and count masks of one n; 150 MB for counting at n=20
+def _field_masks(n: int, width: int) -> tuple:
+    """masks[v] has all bits of field S set for every subset index S with v
+    not in S."""
+    size = width << n
     masks = []
     for v in range(n):
-        m = (1 << (1 << v)) - 1
-        width = 1 << (v + 1)
-        while width < size:
-            m |= m << width
-            width <<= 1
+        m = (1 << (width << v)) - 1
+        span = width << (v + 1)
+        while span < size:
+            m |= m << span
+            span <<= 1
         masks.append(m)
     return tuple(masks)
 
@@ -50,14 +60,6 @@ def _popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
 
 
-def _subsets_with(n: int, u: int, has_u: int, v: int, has_v: int) -> tuple:
-    """Index of the subset cube's view where bit u is has_u and bit v is has_v."""
-    index = [slice(None)] * n
-    index[n - 1 - u] = has_u
-    index[n - 1 - v] = has_v
-    return tuple(index)
-
-
 def _bitset_to_bool(bits: int, size: int) -> np.ndarray:
     raw = bits.to_bytes((size + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
@@ -65,30 +67,43 @@ def _bitset_to_bool(bits: int, size: int) -> np.ndarray:
     ].astype(bool)
 
 
-def _reach_sets(ordering: EdgeOrdering, stop_at_full: bool):
-    """Bit-parallel subset DP: reach[v] has bit S set iff some increasing
-    path visits exactly S and ends at v.  With ``stop_at_full``, returns
-    None at the first edge that completes a Hamiltonian path."""
+def _reach_sets(ordering: EdgeOrdering, width: int) -> list:
+    """Bit-parallel subset DP: field S of reach[v] (bits width*S onwards)
+    counts the increasing paths that visit exactly S and end at v.  Wider
+    fields add counts; 1-bit fields OR them into sets, and the DP stops at
+    the first edge that completes a Hamiltonian path (counting has 1-bit
+    fields only at n=2, whose one edge is the last)."""
     n = ordering.n
-    _check_cap(n, 1 / 8)
-    full_shift = (1 << n) - 1
-    masks = _subset_masks_without(n)
-    reach = [1 << (1 << v) for v in range(n)]  # singleton {v} reachable
+    _check_cap(n)
+    full_shift = width * ((1 << n) - 1)
+    masks = _field_masks(n, width)
+    reach = [1 << (width << v) for v in range(n)]  # singleton {v}: one path
+    sets = width == 1
     us, vs = ordering.edges_by_label
     for u, v in zip(us.tolist(), vs.tolist()):
-        add_v = (reach[u] & masks[v]) << (1 << v)
-        add_u = (reach[v] & masks[u]) << (1 << u)
-        if stop_at_full and ((add_v >> full_shift) or (add_u >> full_shift)):
-            return None
-        reach[v] |= add_v
-        reach[u] |= add_u
+        add_v = (reach[u] & masks[v]) << (width << v)
+        add_u = (reach[v] & masks[u]) << (width << u)
+        if sets:
+            reach[v] |= add_v
+            reach[u] |= add_u
+            if (add_v >> full_shift) or (add_u >> full_shift):
+                break
+        else:
+            reach[v] += add_v
+            reach[u] += add_u
     return reach
+
+
+def _full_fields(ordering: EdgeOrdering, width: int) -> list:
+    """Per end vertex, the DP's field of the full vertex set."""
+    full_shift = width * ((1 << ordering.n) - 1)
+    return [r >> full_shift for r in _reach_sets(ordering, width)]
 
 
 def longest_increasing_path_len(ordering: EdgeOrdering) -> int:
     """Exact number of edges in the longest increasing simple path."""
     anywhere = 0
-    for r in _reach_sets(ordering, stop_at_full=False):
+    for r in _reach_sets(ordering, 1):
         anywhere |= r
     n = ordering.n
     reachable = _bitset_to_bool(anywhere, 1 << n)
@@ -97,7 +112,7 @@ def longest_increasing_path_len(ordering: EdgeOrdering) -> int:
 
 def has_increasing_ham_path(ordering: EdgeOrdering) -> bool:
     """True iff an increasing Hamiltonian path exists; exits at first hit."""
-    return _reach_sets(ordering, stop_at_full=True) is None
+    return any(_full_fields(ordering, 1))
 
 
 def count_increasing_ham_paths(ordering: EdgeOrdering) -> int:
@@ -106,26 +121,9 @@ def count_increasing_ham_paths(ordering: EdgeOrdering) -> int:
 
     Each undirected increasing Hamiltonian path with at least two edges
     contributes one sequence (its increasing direction); at n=2 the single
-    edge contributes both directions.  Counts stay below 2**63 for n <= 20.
+    edge contributes both directions.
     """
-    n = ordering.n
-    _check_cap(n, 8)
-    size = 1 << n
-    counts = np.zeros((size, n), dtype=np.int64)
-    for v in range(n):
-        counts[1 << v, v] = 1
-    # the same table as a cube with one length-2 axis per vertex: in C order,
-    # axis n-1-b is bit b of the subset index
-    cube = counts.reshape((2,) * n + (n,))
-    us, vs = ordering.edges_by_label
-    for u, v in zip(us.tolist(), vs.tolist()):
-        # the written views (subsets holding u and v) and the read views
-        # (subsets holding exactly one of them) are disjoint, so adding in
-        # place reads only counts from before this edge
-        both = _subsets_with(n, u, 1, v, 1)
-        cube[both + (v,)] += cube[_subsets_with(n, u, 1, v, 0) + (u,)]
-        cube[both + (u,)] += cube[_subsets_with(n, u, 0, v, 1) + (v,)]
-    return int(counts[size - 1, :].sum())
+    return sum(_full_fields(ordering, _count_width(ordering.n)))
 
 
 def brute_force_longest(ordering: EdgeOrdering) -> int:

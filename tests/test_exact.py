@@ -1,6 +1,7 @@
 """Tests for incpaths.exact."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +19,14 @@ from incpaths.core import (
     random_ordering,
 )
 from incpaths.exact import (
+    _field_masks,
     brute_force_longest,
     count_increasing_ham_paths,
     has_increasing_ham_path,
     longest_increasing_path_len,
 )
 from incpaths.kgreedy import MODES, k_greedy_path
+from incpaths.secondmoment import exact_moments
 
 # a coarse grid with exact ties, one-ulp neighbours and the zero label
 # that _detie_real lifts into (0,1)
@@ -128,14 +131,36 @@ def test_count_matches_permutation_brute_force(n, model):
 
 
 @pytest.mark.parametrize("model", core.MODELS)
-@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("n", [13, 14, 16])
 def test_count_matches_index_table_dp(n, model):
+    # n = 16 runs 41-bit fields, one seed per model
     counts = []
-    for seed in range(4):
+    for seed in range(1 if n == 16 else 4):
         ordering = random_ordering(n, seed, model)
         counts.append(count_increasing_ham_paths(ordering))
         assert counts[-1] == count_by_index_tables(ordering)
     assert max(counts) > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_small_ordering_against_permutation_oracle(n):
+    # at n = 3 some end vertex is reached by (n-1)! = 2 paths, so a
+    # narrower count field would carry or saturate here
+    counts = []
+    for ordering in all_orderings(n):
+        counts.append(count_increasing_ham_paths(ordering))
+        assert counts[-1] == count_by_permutations(ordering)
+        assert has_increasing_ham_path(ordering) == (counts[-1] > 0)
+    assert len(counts) == math.factorial(core.num_edges(n))
+
+
+def test_paley_zygmund_bound_over_all_k4_orderings():
+    counts = [count_increasing_ham_paths(o) for o in all_orderings(4)]
+    second_moment = Fraction(sum(c * c for c in counts), len(counts))
+    assert second_moment == exact_moments(4).second_moment == Fraction(296, 15)
+    p_positive = Fraction(sum(c > 0 for c in counts), len(counts))
+    assert p_positive == Fraction(14, 15)
+    assert p_positive >= Fraction(4**2) / second_moment == Fraction(30, 37)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -211,6 +236,20 @@ def test_monotone_relabeling_invariance():
         mapped = EdgeOrdering(n=7, model=core.REAL, labels=0.5 * np.asarray(ordering.labels) + 0.25)
         assert longest_increasing_path_len(ordering) == longest_increasing_path_len(mapped)
         assert count_increasing_ham_paths(ordering) == count_increasing_ham_paths(mapped)
+
+
+def test_capacity_message_states_count_dp_memory():
+    # the 62-bit count fields of n = 21 and as many mask bits
+    with pytest.raises(CapacityError, match="about 651 MiB"):
+        has_increasing_ham_path(random_ordering(21, 0))
+
+
+def test_field_mask_cache_is_bounded():
+    for n in range(2, 12):
+        count_increasing_ham_paths(random_ordering(n, 0))
+        has_increasing_ham_path(random_ordering(n, 0))
+    info = _field_masks.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_capacity_errors():
