@@ -15,19 +15,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-PERMUTATION = "permutation"
-REAL = "real"
-MODELS = (PERMUTATION, REAL)
+from . import PERMUTATION, REAL, CapacityError
 
-#: PRNG pinned for reproducibility; recorded in every harness report.
-PRNG_NAME = f"numpy-PCG64-{np.__version__}"
+MODELS = (PERMUTATION, REAL)
 
 #: Largest n for which an ordering is built (about 5e7 labels, 400 MB).
 ORDERING_CAP = 10_000
-
-
-class CapacityError(ValueError):
-    """A size parameter exceeds the configured capacity cap."""
 
 
 class UnsupportedModelError(ValueError):

@@ -18,6 +18,9 @@ a pmf row is the difference of its cdf row.  The float pmf table is not
 memoized: each call builds it at its own k, carrying one cdf column, and
 alpha_table builds it once at k_max.  Construction is single-threaded,
 reads are safe to share.
+
+numpy is imported by the float path and the sampler only, so the exact
+tables run without it.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import FLOAT, RATIONAL, CapacityError
 
-from .core import CapacityError
+if TYPE_CHECKING:
+    import numpy as np
 
 RATIONAL_CAP = 200
 FLOAT_CAP = 5000
-RATIONAL = "rational"
-FLOAT = "float"
 
 # float64 cannot represent 1/denom past this; dropped tail terms are far
 # below 1e-300 and irrelevant at the 1e-12 validation level
@@ -112,6 +115,8 @@ def _float_pmf(k: int) -> np.ndarray:
     """P[n, s] = Pr[L_n = s] for n, s = 0..k.  Column s needs only the cdf
     column s-1, Pr[L_n <= s-1] over all n, so that one vector is carried
     instead of a second (k+1)^2 table."""
+    import numpy as np
+
     P = np.zeros((k + 1, k + 1))
     below = np.zeros(k + 1)  # cdf column s-1 over n = 0..k
     below[0] = 1.0  # L_0 = 0
@@ -139,11 +144,15 @@ def _float_pmf(k: int) -> np.ndarray:
 
 # one dot product per pmf row: the pinned float reports depend on this order
 def _float_alpha(pmf: np.ndarray) -> float:
+    import numpy as np
+
     hs = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, len(pmf)))))
     return float(np.dot(pmf[1:], hs[-1] - hs[:-1]))
 
 
 def _float_mean_ratio(pmf: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.dot(np.arange(len(pmf)), pmf) / (len(pmf) - 1))
 
 
@@ -155,6 +164,8 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
         cdf = [Fraction(count, _factorials[k]) for count in _counts[k]]
         pmf = [b - a for a, b in itertools.pairwise([0, *cdf])]
     else:
+        import numpy as np
+
         pmf = _float_pmf(k)[k]
         cdf = np.cumsum(pmf)  # left to right, the order the columns were added in
     return CycleLengthTable(k=k, precision=precision, pmf=tuple(pmf), cdf=tuple(cdf))
@@ -215,6 +226,8 @@ def sample_longest_cycle(k: int, trials: int, seed: int) -> np.ndarray:
         raise ValueError(f"need k >= 1, got k={k}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_SEATS // k)
     counts = np.zeros(k + 1, dtype=np.int64)

@@ -3,8 +3,14 @@
 Every command produces a JSON report echoing its configuration, the
 pinned PRNG identifier, and the toolkit version; trial t draws its seed
 from the master seed through a SplitMix64 mix, so results are bit-stable
-across runs and worker counts.  Wall-clock duration and the worker count
-live in a separate ``meta`` block, outside the reproducible part.
+across runs and worker counts.  Wall-clock duration, the worker count and
+the peak RSS live in a separate ``meta`` block, outside the reproducible
+part.
+
+Each command names the layers it runs (``Command.layers``); ``run``
+imports those, and no others, before its clock starts, so the duration is
+the command's own work and a command that runs no ordering, float table
+or sampler never imports numpy.
 
 A trial draws its ordering in ``_trial`` and measures it; the trials of a
 command become series, plus what its reducer derives, in
@@ -33,38 +39,55 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
+import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-import numpy as np
+from . import EXHAUST, FLOAT, PERMUTATION, RATIONAL, REAL, CapacityError, __version__
 
-from . import __version__, cyclestats, secondmoment
-from .core import (
-    PERMUTATION,
-    PRNG_NAME,
-    REAL,
-    CapacityError,
-    matching_ordering,
-    random_ordering,
-)
-from .exact import (
-    DEFAULT_CAP,
-    count_increasing_ham_paths,
-    has_increasing_ham_path,
-    longest_increasing_path_len,
-)
-from .kgreedy import EXHAUST, k_greedy_path
-from .walks import greedy_path, pedestrian_walks, refusal_paths
+# The layer modules: ``_import_layers`` binds the ones a command runs, before
+# its clock starts (and in each pool worker), and the code below reads them
+# here, so a trial pays no import statement.
+core = cyclestats = exact = kgreedy = numpy = secondmoment = walks = None
 
 _M64 = (1 << 64) - 1
+
+
+def _import_layers(layers: tuple) -> None:
+    """Import each named layer, a module of this package or ``numpy``, and
+    bind it as a global of this module."""
+    for name in layers:
+        module = name if name == "numpy" else f"{__package__}.{name}"
+        globals()[name] = importlib.import_module(module)
+
+
+def _prng_name() -> str:
+    """numpy's PCG64 at the installed numpy version, the generator every
+    ordering and sample draws from.  A command that has not imported numpy
+    reads the version from the package metadata rather than import it."""
+    if "numpy" in sys.modules:
+        version = sys.modules["numpy"].__version__
+    else:
+        from importlib.metadata import version as dist_version
+
+        version = dist_version("numpy")
+    return f"numpy-PCG64-{version}"
+
+
+def _peak_rss_mb() -> float:
+    """Peak RSS of this process or of the largest child it has waited for
+    (the pool workers), in MB; Linux reports ``ru_maxrss`` in KiB."""
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
+
 
 @dataclass
 class ExperimentConfig:
@@ -111,7 +134,7 @@ class Report:
     config: dict
     results: dict
     version: str = __version__
-    prng: str = PRNG_NAME
+    prng: str = field(default_factory=_prng_name)
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -138,11 +161,13 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 def summarize(values) -> tuple[float, float, tuple[float, float]]:
     """(mean, unbiased sample stddev, 95% normal CI for the mean)."""
+    import numpy  # not bound by run: replays and tests call this outside it
+
     values = list(values)
     if not values:
         raise ValueError("cannot summarize an empty sequence")
-    mean = float(np.mean(values))
-    stddev = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    mean = float(numpy.mean(values))
+    stddev = float(numpy.std(values, ddof=1)) if len(values) > 1 else 0.0
     half = 1.96 * stddev / math.sqrt(len(values))
     return mean, stddev, (mean - half, mean + half)
 
@@ -168,34 +193,34 @@ def _series(values, emit_raw: bool) -> dict:
 def _walk_lengths(ordering, params=None):
     """(longest pedestrian walk, total pedestrian steps, longest refusal
     path), all in edges."""
-    walks = pedestrian_walks(ordering)
-    refusals = refusal_paths(ordering)
+    pedestrian = walks.pedestrian_walks(ordering)
+    refusals = walks.refusal_paths(ordering)
     return (
-        max(len(w) - 1 for w in walks),
-        sum(len(w) - 1 for w in walks),
+        max(len(w) - 1 for w in pedestrian),
+        sum(len(w) - 1 for w in pedestrian),
         max(len(p) - 1 for p in refusals),
     )
 
 
 def _greedy_fraction(ordering, params):
-    return (len(greedy_path(ordering, 0)) - 1) / ordering.n
+    return (len(walks.greedy_path(ordering, 0)) - 1) / ordering.n
 
 
 def _kgreedy_fraction(ordering, params):
-    return (len(k_greedy_path(ordering, 0, params["k"], params["mode"])[0]) - 1) / ordering.n
+    return (len(kgreedy.k_greedy_path(ordering, 0, params["k"], params["mode"])[0]) - 1) / ordering.n
 
 
 def _has_ham_path(ordering, params):
-    return 1 if has_increasing_ham_path(ordering) else 0
+    return 1 if exact.has_increasing_ham_path(ordering) else 0
 
 
 def _ham_path_count(ordering, params):
-    return float(count_increasing_ham_paths(ordering))
+    return float(exact.count_increasing_ham_paths(ordering))
 
 
 def _trial(measure, params, seed):
     """Draw the ordering for one trial seed and measure it."""
-    return measure(random_ordering(params["n"], seed, params["model"]), params)
+    return measure(core.random_ordering(params["n"], seed, params["model"]), params)
 
 
 def _run_trials(measure, params, threads):
@@ -203,7 +228,10 @@ def _run_trials(measure, params, threads):
     seeds = [trial_seed(params["seed"], t) for t in range(trials)]
     task = partial(_trial, measure, params)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # run imported it before its clock
+
+        with ProcessPoolExecutor(max_workers=threads, initializer=_import_layers,
+                                 initargs=(_layers(params),)) as pool:
             return list(pool.map(task, seeds, chunksize=max(1, trials // (4 * threads))))
     return list(map(task, seeds))
 
@@ -244,23 +272,28 @@ def _cmd_alpha_table(config, params, threads):
     return {"rows": rows, "k_max": params["k"], "last_row": rows[-1]}
 
 
+def _alpha_table_layers(params):
+    return ("cyclestats", "numpy") if params["precision"] == FLOAT else ("cyclestats",)
+
+
 def _cmd_cycles_mc(config, params, threads):
     k = params["k"]
     empirical = cyclestats.sample_longest_cycle(k, params["trials"], params["seed"])
-    precision = cyclestats.RATIONAL if k <= cyclestats.RATIONAL_CAP else cyclestats.FLOAT
-    exact = [float(p) for p in cyclestats.longest_cycle_distribution(k, precision).pmf]
+    precision = RATIONAL if k <= cyclestats.RATIONAL_CAP else FLOAT
+    exact_pmf = [float(p) for p in cyclestats.longest_cycle_distribution(k, precision).pmf]
     trials = params["trials"]
     within = all(
-        abs(empirical[s] - exact[s])
-        <= 3 * math.sqrt(exact[s] * (1 - exact[s]) / trials) + 1e-15
+        abs(empirical[s] - exact_pmf[s])
+        <= 3 * math.sqrt(exact_pmf[s] * (1 - exact_pmf[s]) / trials) + 1e-15
         for s in range(1, k + 1)
     )
     results = {
         "k": k,
-        "max_abs_deviation": float(np.max(np.abs(np.array(empirical[1:]) - np.array(exact[1:])))),
+        "max_abs_deviation": float(numpy.max(numpy.abs(
+            numpy.array(empirical[1:]) - numpy.array(exact_pmf[1:])))),
         "within_3_sigma": bool(within),
-        "empirical_mean": float(np.dot(np.arange(k + 1), empirical)),
-        "exact_mean": float(np.dot(np.arange(k + 1), exact)),
+        "empirical_mean": float(numpy.dot(numpy.arange(k + 1), empirical)),
+        "exact_mean": float(numpy.dot(numpy.arange(k + 1), exact_pmf)),
     }
     if config.emit_raw:
         results["empirical_pmf"] = [float(x) for x in empirical]
@@ -272,6 +305,10 @@ def _cmd_moments(config, params, threads):
         return _cmd_trial_series(_ham_path_count, ("count",), config, params, threads,
                                  reduce=_expected_mean)
     return secondmoment.moment_report_to_dict(secondmoment.exact_moments(params["n"]))
+
+
+def _moments_layers(params):
+    return ("core", "exact") if "trials" in params else ("secondmoment",)
 
 
 def _cmd_census(config, params, threads):
@@ -334,7 +371,7 @@ def _cmd_constant_c(config, params, threads):
 
 def _cmd_worstcase(config, params, threads):
     n = params["n"]
-    ordering = matching_ordering(n)
+    ordering = core.matching_ordering(n)
     ped_max, ped_total, ref_max = _walk_lengths(ordering)
     results = {
         "n": n,
@@ -342,46 +379,61 @@ def _cmd_worstcase(config, params, threads):
         "pedestrian_total_steps": ped_total,
         "refusal_max_length": ref_max,
     }
-    if n <= DEFAULT_CAP:
-        results["longest_increasing_path"] = longest_increasing_path_len(ordering)
-        results["has_increasing_ham_path"] = bool(has_increasing_ham_path(ordering))
+    if n <= exact.DEFAULT_CAP:
+        results["longest_increasing_path"] = exact.longest_increasing_path_len(ordering)
+        results["has_increasing_ham_path"] = bool(exact.has_increasing_ham_path(ordering))
     return results
 
 
 class Command(NamedTuple):
     """One CLI command: its default parameters, the function
     ``impl(config, params, threads)`` that returns its results block, the
-    parameters it also takes without a default, and, for a command with a
-    tabular export, the function ``rows(results)`` that maps its results
-    block to the CSV rows an ``out`` ending in .csv receives."""
+    layers it runs (module names for ``_import_layers``, or a function of
+    the resolved parameters that returns them), the parameters it also
+    takes without a default, and, for a command with a tabular export, the
+    function ``rows(results)`` that maps its results block to the CSV rows
+    an ``out`` ending in .csv receives."""
 
     defaults: dict
     impl: Callable
+    layers: tuple | Callable
     optional: tuple = ()
     rows: Callable | None = None
 
 
 COMMANDS = {
     "greedy-sim": Command(dict(n=2000, trials=200, model=REAL),
-                          partial(_cmd_trial_series, _greedy_fraction, ("fraction",))),
+                          partial(_cmd_trial_series, _greedy_fraction, ("fraction",)),
+                          layers=("core", "walks")),
     "kgreedy-sim": Command(dict(n=2000, k=10, trials=100, model=REAL, mode=EXHAUST),
-                           partial(_cmd_trial_series, _kgreedy_fraction, ("fraction",))),
+                           partial(_cmd_trial_series, _kgreedy_fraction, ("fraction",)),
+                           layers=("core", "kgreedy")),
     "walks-demo": Command(dict(n=30, trials=100, model=PERMUTATION),
                           partial(_cmd_trial_series, _walk_lengths,
                                   ("pedestrian_max_length", "pedestrian_total_steps",
                                    "refusal_max_length"),
-                                  reduce=_walk_guarantees)),
-    "alpha-table": Command(dict(k=100, precision=cyclestats.RATIONAL), _cmd_alpha_table,
-                           rows=itemgetter("rows")),
-    "cycles-mc": Command(dict(k=20, trials=100_000), _cmd_cycles_mc),
+                                  reduce=_walk_guarantees),
+                          layers=("core", "walks")),
+    "alpha-table": Command(dict(k=100, precision=RATIONAL), _cmd_alpha_table,
+                           layers=_alpha_table_layers, rows=itemgetter("rows")),
+    "cycles-mc": Command(dict(k=20, trials=100_000), _cmd_cycles_mc,
+                         layers=("cyclestats", "numpy")),
     "hamprob": Command(dict(n=12, trials=2000, model=PERMUTATION),
-                       partial(_cmd_trial_series, _has_ham_path, ("existence",))),
-    "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments, optional=("trials",)),
-    "census": Command(dict(n=5), _cmd_census, rows=_census_csv_rows),
-    "bounds": Command(dict(n=100), _cmd_bounds),
-    "constant-c": Command(dict(k=80), _cmd_constant_c),
-    "worstcase": Command(dict(n=10), _cmd_worstcase),
+                       partial(_cmd_trial_series, _has_ham_path, ("existence",)),
+                       layers=("core", "exact")),
+    "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments, layers=_moments_layers,
+                       optional=("trials",)),
+    "census": Command(dict(n=5), _cmd_census, layers=("secondmoment",), rows=_census_csv_rows),
+    "bounds": Command(dict(n=100), _cmd_bounds, layers=("secondmoment",)),
+    "constant-c": Command(dict(k=80), _cmd_constant_c, layers=("secondmoment",)),
+    "worstcase": Command(dict(n=10), _cmd_worstcase, layers=("core", "walks", "exact")),
 }
+
+
+def _layers(params: dict) -> tuple:
+    """The layers the command ``params`` names runs with these parameters."""
+    layers = COMMANDS[params["command"]].layers
+    return layers(params) if callable(layers) else layers
 
 
 def default_threads() -> int:
@@ -402,12 +454,16 @@ def run(config: ExperimentConfig) -> Report:
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     command = COMMANDS[config.command]
+    _import_layers(_layers(params))
+    if threads > 1:
+        import concurrent.futures  # noqa: F401  (the trial pool's, about 30 ms)
     start = time.time()
     results = command.impl(config, params, threads)
     report = Report(
         config=params,
         results=results,
-        meta={"duration_seconds": time.time() - start, "threads": threads},
+        meta={"duration_seconds": time.time() - start, "threads": threads,
+              "peak_rss_mb": _peak_rss_mb()},
     )
     if config.out:
         with open(config.out, "w", newline="") as fh:

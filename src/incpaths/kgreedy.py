@@ -46,10 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import EXHAUST, STRICT
 from .core import EdgeOrdering
 
-STRICT = "strict"
-EXHAUST = "exhaust"
 MODES = (STRICT, EXHAUST)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .core import CapacityError
+from . import CapacityError
 
 MOMENTS_CAP = 7
 

@@ -3,7 +3,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy
 import pytest
 
 from incpaths.cyclestats import alpha_table
@@ -240,3 +245,63 @@ def test_cli_prints_json(capsys):
     printed = capsys.readouterr().out
     data = json.loads(printed)
     assert data["results"]["c_max"] == 10
+
+
+# harness.main in a fresh interpreter: its exit code, whether numpy was
+# imported, and the report's prng identifier
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+from incpaths.harness import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "prng": json.loads(out.getvalue())["prng"]}))
+"""
+
+_EXACT_ONLY = {
+    "alpha-table-rational": ["alpha-table", "--k", "12", "--precision", "rational"],
+    "bounds": ["bounds", "--n", "20"],
+    "moments-exact": ["moments", "--n", "4"],
+    "census": ["census", "--n", "4"],
+    "constant-c": ["constant-c", "--k", "10"],
+}
+_WITH_NUMPY = {
+    "greedy-sim": ["greedy-sim", "--n", "30", "--trials", "2"],
+    "kgreedy-sim": ["kgreedy-sim", "--n", "30", "--k", "3", "--trials", "2"],
+    "walks-demo": ["walks-demo", "--n", "10", "--trials", "2"],
+    "worstcase": ["worstcase", "--n", "6"],
+    "alpha-table-float": ["alpha-table", "--k", "12", "--precision", "float"],
+    "cycles-mc": ["cycles-mc", "--k", "5", "--trials", "100"],
+    "hamprob": ["hamprob", "--n", "6", "--trials", "4"],
+    "moments-trials": ["moments", "--n", "5", "--trials", "3"],
+    "hamprob-threads-2": ["hamprob", "--n", "6", "--trials", "4", "--threads", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, uses_numpy",
+    [(argv, False) for argv in _EXACT_ONLY.values()]
+    + [(argv, True) for argv in _WITH_NUMPY.values()],
+    ids=[*_EXACT_ONLY, *_WITH_NUMPY],
+)
+def test_each_command_imports_only_its_layers(argv, uses_numpy):
+    # a fresh interpreter per command: a layer missing from a command's
+    # list fails here even when an earlier command in this process loaded it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    seen = json.loads(child.stdout)
+    assert seen == {"code": 0, "numpy": uses_numpy,
+                    "prng": f"numpy-PCG64-{numpy.__version__}"}
+
+
+@pytest.mark.parametrize(
+    "base",
+    [dict(command="bounds", n=20), dict(command="greedy-sim", n=30, trials=4, threads=2)],
+    ids=["bounds", "greedy-sim-threads-2"],
+)
+def test_meta_reports_peak_rss(base):
+    meta = run(ExperimentConfig(**base)).meta
+    assert meta["peak_rss_mb"] > 0
