@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
+import importlib.util
 import json
 import math
 import os
+import re
 import resource
 import sys
 import time
@@ -71,11 +72,14 @@ def _import_layers(layers: tuple) -> None:
 
 def _prng_name() -> str:
     """numpy's PCG64 at the installed numpy version, the generator every
-    ordering and sample draws from.  A command that has not imported numpy
-    reads the version from the package metadata rather than import it."""
-    if "numpy" in sys.modules:
-        version = sys.modules["numpy"].__version__
-    else:
+    ordering and sample draws from.  The version is the ``version = "..."``
+    line of numpy/version.py, read without importing numpy; the package
+    metadata, slower to load, is the fallback when that read fails."""
+    try:
+        package_dir = importlib.util.find_spec("numpy").submodule_search_locations[0]
+        with open(os.path.join(package_dir, "version.py")) as f:
+            version = re.search(r'^version = "([^"]+)"$', f.read(), re.M).group(1)
+    except (AttributeError, OSError, TypeError):
         from importlib.metadata import version as dist_version
 
         version = dist_version("numpy")

@@ -102,9 +102,7 @@ def k_greedy_path(
     path = [v0]
     children: dict[int, list[int]] = {v0: []}
     tree_edges = 0
-    in_pt = [False] * n  # vertex in P or T
     in_tree = [False] * n
-    in_pt[v0] = True
     in_tree[v0] = True
     on_path = bytearray(n)
     on_path[v0] = True
@@ -132,7 +130,6 @@ def k_greedy_path(
         for sub in subtrees:
             if sub is not kept:
                 for v in sub:
-                    in_pt[v] = False
                     in_tree[v] = False
                     children.pop(v, None)
         in_tree[root] = False  # root stays on the path
@@ -172,14 +169,13 @@ def k_greedy_path(
         if not in_tree[attach] or s != stamp[attach]:
             continue  # attach left the tree after this entry was queued
         child = rows[attach][1].item(pos[attach])
-        if in_pt[child]:
+        if on_path[child] or in_tree[child]:
             queue_from(attach, pos[attach] + 1)
             continue
         # commit the minimum eligible edge: everything below this label was
         # already committed or is excluded by the current state
         children[attach].append(child)
         children[child] = []
-        in_pt[child] = True
         in_tree[child] = True
         tree_edges += 1
         tau = label

@@ -7,10 +7,12 @@ uniformly random edge ordering makes both increasing is
     (number of linear extensions of the two-chain poset) / (2n-c-2)!
 
 where the poset consists of A's edge chain and B's edge chain with the c
-shared edges identified, and 2(n-1)-c is the size of the union.  The
-extension count comes from the classic interleaving DP over prefix pairs,
-which also yields 0 automatically for incompatible shared-edge orders or
-a >= 2-edge shared segment traversed in opposite directions.
+shared edges identified, and 2(n-1)-c is the size of the union.  When
+the shared edges come in the same order along both paths they form a
+chain, and each gap between consecutive shared edges interleaves A's a
+private edges there with B's b freely, so the extension count is the
+product of C(a + b, a) over the gaps.  Otherwise (crossed shared edges,
+or a >= 2-edge shared segment traversed in opposite directions) it is 0.
 
 Pairs are grouped by intersection profile signature (c, k, l): shared
 edge count, number of shared segments (connected runs of shared edges,
@@ -23,9 +25,10 @@ is sum_k 3^k/k! = e^3.
 Each pair is validated and its edges matched once; the signature and the
 extension count are both read from that matching.  All bound and census
 arithmetic is exact (Python ints and Fractions): E[H_n^2] and the split
-sums are integers over the common denominator (2n-2)!, each made one
-Fraction at the end.  No floating point enters except where an explicit
-e^{-2} scale factor is applied.
+sums are integers over the common denominator (2n-2)!; E[H_n^2] becomes
+one Fraction and each split sum one correctly rounded division at the
+end.  No other floating point enters except where an explicit e^{-2}
+scale factor is applied.
 """
 
 from __future__ import annotations
@@ -101,25 +104,20 @@ def _signature(match) -> ProfileSignature:
 
 
 def _extension_count(match) -> int:
-    """Interleaving DP over prefix pairs (i, j): the last element is A's
-    i-th edge (if unshared), B's j-th edge (if unshared), or their shared
-    edge when A's i-th and B's j-th coincide.  Crossed identifications
-    never reach a nonzero state, so incompatible pairs count 0.  Only the
-    previous row is kept; row 0 extends a virtual row [1, 0, ...] through
-    the unused match[0] = 0, which makes the empty prefix pair count 1."""
+    """Product over the gaps between consecutive shared edges (and the
+    path ends) of C(a + b, a), a and b the private edges of A and of B in
+    the gap; 0 when the shared edges are not in the same order along B."""
     p = len(match) - 1
-    shared_b = set(match)
-    row = [1] + [0] * p
-    for i in range(p + 1):
-        prev_row, row = row, [0] * (p + 1)
-        for j in range(p + 1):
-            total = prev_row[j] if match[i] == 0 else 0
-            if j and j not in shared_b:
-                total += row[j - 1]
-            if j and match[i] == j:
-                total += prev_row[j - 1]
-            row[j] = total
-    return row[p]
+    shared = [(i, j) for i, j in enumerate(match) if j]
+    count = 1
+    i_prev = j_prev = 0
+    for i, j in [*shared, (p + 1, p + 1)]:  # the sentinel closes the last gap
+        if j <= j_prev:
+            return 0
+        a, b = i - i_prev - 1, j - j_prev - 1
+        count *= math.comb(a + b, a)
+        i_prev, j_prev = i, j
+    return count
 
 
 def classify_pair(a_seq, b_seq) -> ProfileSignature:
@@ -129,7 +127,8 @@ def classify_pair(a_seq, b_seq) -> ProfileSignature:
 
 def linear_extension_count(a_seq, b_seq) -> int:
     """Number of orderings of the union of both edge chains that are
-    increasing along A and along B (shared edges identified)."""
+    increasing along A and along B (shared edges identified): the product
+    of gap binomials in ``_extension_count``."""
     return _extension_count(_match_pair(a_seq, b_seq))
 
 
@@ -271,8 +270,9 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     the large-c tail.
 
     Every term's denominator (2n-c-2)! divides (2n-2)!, so each sum is
-    accumulated as an integer over (2n-2)! and becomes one exact rational
-    at the end; the small-c value carries the irrational e^{-2} factor.
+    accumulated as an integer over (2n-2)! and becomes one correctly
+    rounded float division at the end; the small-c value carries the
+    irrational e^{-2} factor.
     """
     if n < 10:
         raise ValueError(f"need n >= 10, got n={n}")
@@ -290,11 +290,7 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     mid = _split_sum(range(c_small + 1, c_mid + 1), n, fact, up)
     tail = _split_sum(range(c_mid + 1, n), n, fact, up)
     common = fact[2 * n - 2]
-    return (
-        math.exp(-2) * float(Fraction(small, common)),
-        float(Fraction(mid, common)),
-        float(Fraction(tail, common)),
-    )
+    return math.exp(-2) * (small / common), mid / common, tail / common
 
 
 def constant_C_partial(c_max: int) -> Fraction:

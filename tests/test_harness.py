@@ -247,8 +247,8 @@ def test_cli_prints_json(capsys):
     assert data["results"]["c_max"] == 10
 
 
-# harness.main in a fresh interpreter: its exit code, whether numpy was
-# imported, and the report's prng identifier
+# harness.main in a fresh interpreter: its exit code, whether numpy and
+# importlib.metadata were imported, and the report's prng identifier
 _FRESH_MAIN = """
 import contextlib, io, json, sys
 from incpaths.harness import main
@@ -256,6 +256,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "metadata": "importlib.metadata" in sys.modules,
                   "prng": json.loads(out.getvalue())["prng"]}))
 """
 
@@ -293,8 +294,12 @@ def test_each_command_imports_only_its_layers(argv, uses_numpy):
     child = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
                            capture_output=True, text=True, timeout=60, check=True)
     seen = json.loads(child.stdout)
+    metadata = seen.pop("metadata")
     assert seen == {"code": 0, "numpy": uses_numpy,
                     "prng": f"numpy-PCG64-{numpy.__version__}"}
+    if not uses_numpy:
+        # the prng version is read from numpy/version.py, not the slow metadata
+        assert not metadata
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from incpaths.secondmoment import (
     MomentReport,
     ProfileSignature,
     _compositions_min2,
+    _match_pair,
     _split_term,
     classify_pair,
     constant_C_partial,
@@ -68,6 +69,28 @@ def classify_pair_by_edge_sets(a_seq, b_seq):
         k += 1
         ell += run == 1
     return ProfileSignature(c=c, k=k, ell=ell)
+
+
+def interleaving_extension_count_reference(match) -> int:
+    """Interleaving DP over prefix pairs (i, j): the last element is A's
+    i-th edge (if unshared), B's j-th edge (if unshared), or their shared
+    edge when A's i-th and B's j-th coincide.  Crossed identifications
+    never reach a nonzero state, so incompatible pairs count 0.  Only the
+    previous row is kept; row 0 extends a virtual row [1, 0, ...] through
+    the unused match[0] = 0, which makes the empty prefix pair count 1."""
+    p = len(match) - 1
+    shared_b = set(match)
+    row = [1] + [0] * p
+    for i in range(p + 1):
+        prev_row, row = row, [0] * (p + 1)
+        for j in range(p + 1):
+            total = prev_row[j] if match[i] == 0 else 0
+            if j and j not in shared_b:
+                total += row[j - 1]
+            if j and match[i] == j:
+                total += prev_row[j - 1]
+            row[j] = total
+    return row[p]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -126,6 +149,31 @@ def test_pair_probability_opposite_segment_zero():
     # B traverses the shared segment 0-1-2 backwards
     assert pair_probability([0, 1, 2, 3], [2, 1, 0, 3]) == 0
     assert pair_probability([0, 1, 2, 3], [3, 2, 1, 0]) == 0
+
+
+def test_extension_count_matches_interleaving_dp():
+    # every ordered pair for n <= 5; (identity, B) stands for all at n = 6, 7
+    pairs = [
+        (a, b)
+        for n in range(2, 6)
+        for a in itertools.permutations(range(n))
+        for b in itertools.permutations(range(n))
+    ]
+    pairs += [(tuple(range(n)), b) for n in (6, 7) for b in itertools.permutations(range(n))]
+    for a, b in pairs:
+        assert linear_extension_count(a, b) == interleaving_extension_count_reference(
+            _match_pair(a, b)
+        ), (a, b)
+
+
+def test_extension_count_one_shared_middle_edge():
+    # A = 0-1-2-3-4, B = 2-3-0-4-1 share only edge 2-3: A's third edge and
+    # B's first.  Before it A has 2 private edges and B none, C(2, 2) = 1;
+    # after it A has 1 and B 3, C(4, 1) = 4.  The union has 7 edges.
+    a, b = [0, 1, 2, 3, 4], [2, 3, 0, 4, 1]
+    assert classify_pair(a, b) == ProfileSignature(1, 1, 1)
+    assert linear_extension_count(a, b) == 4
+    assert pair_probability(a, b) == Fraction(4, math.factorial(7))
 
 
 def test_pair_probability_symmetric():
