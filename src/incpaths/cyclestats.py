@@ -43,9 +43,13 @@ FLOAT_CAP = 5000
 # below 1e-300 and irrelevant at the 1e-12 validation level
 _MIN_DENOM = 1 << 1020
 
-# seats per sampler chunk (16 MiB of int32 part ids); the sampled stream
-# depends on it, since trials run in chunks of _CHUNK_SEATS // k
+# seats per sampler chunk (4 MiB of int8 part ids for k <= 128, 8 MiB of
+# int16 above); the sampled stream depends on it, since trials run in
+# chunks of _CHUNK_SEATS // k
 _CHUNK_SEATS = 1 << 22
+# seats per block when counting part sizes: 512 KiB of row-offset int64
+# ids and as many bincount bins
+_BLOCK_SEATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,9 @@ def sample_longest_cycle(k: int, trials: int, seed: int) -> np.ndarray:
     joins a part with probability proportional to its size).
 
     Returns an array of length k+1 indexed by part size; deterministic
-    given the seed.
+    given the seed.  The working set is one matrix of part ids per chunk,
+    in the narrowest signed type that holds k-1, plus int64 part sizes
+    for one block of about _BLOCK_SEATS seats at a time.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -230,19 +236,25 @@ def sample_longest_cycle(k: int, trials: int, seed: int) -> np.ndarray:
 
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_SEATS // k)
+    block = max(1, _BLOCK_SEATS // k)
+    offsets = np.arange(block)[:, None] * k  # int64: row r's ids start at r*k
     counts = np.zeros(k + 1, dtype=np.int64)
+    # part id of each seat, one matrix reused by every chunk
+    buffer = np.empty((min(chunk, trials), k), dtype=np.min_scalar_type(-k))
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        part = np.zeros((t, k), dtype=np.int32)  # part id of each seat
+        part = buffer[:t]
+        part[:, 0] = 0  # later columns are written before they are read
         rows = np.arange(t)
         for j in range(2, k + 1):
             u = rng.integers(0, j, size=t)
             part[:, j - 1] = np.where(u == j - 1, j - 1, part[rows, u])
-        flat = part + (rows * k)[:, None]
-        sizes = np.bincount(flat.ravel(), minlength=t * k).reshape(t, k)
-        largest = sizes.max(axis=1)
-        counts += np.bincount(largest, minlength=k + 1)
+        for lo in range(0, t, block):
+            ids = part[lo : lo + block]
+            r = len(ids)
+            sizes = np.bincount((ids + offsets[:r]).ravel(), minlength=r * k)
+            counts += np.bincount(sizes.reshape(r, k).max(axis=1), minlength=k + 1)
         done += t
     return counts / trials
 

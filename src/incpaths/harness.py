@@ -282,9 +282,10 @@ def _alpha_table_layers(params):
 
 def _cmd_cycles_mc(config, params, threads):
     k = params["k"]
-    empirical = cyclestats.sample_longest_cycle(k, params["trials"], params["seed"])
     precision = RATIONAL if k <= cyclestats.RATIONAL_CAP else FLOAT
+    # first, so that a k past FLOAT_CAP is refused before any sampling
     exact_pmf = [float(p) for p in cyclestats.longest_cycle_distribution(k, precision).pmf]
+    empirical = cyclestats.sample_longest_cycle(k, params["trials"], params["seed"])
     trials = params["trials"]
     within = all(
         abs(empirical[s] - exact_pmf[s])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -62,6 +63,33 @@ def longest_cycle_fraction_rows(k_max):
         pmf_rows.append(pmf)
         cdf_rows.append(list(itertools.accumulate(pmf)))
     return pmf_rows, cdf_rows
+
+
+def sample_longest_cycle_bincount_reference(k: int, trials: int, seed: int) -> np.ndarray:
+    """Oracle: the sampler as it once was, one int32 part-id matrix per
+    chunk, an int64 copy of it with row offsets, and one bincount over
+    the whole chunk.  Same random stream as the module's sampler."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _CHUNK_SEATS // k)
+    counts = np.zeros(k + 1, dtype=np.int64)
+    done = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        part = np.zeros((t, k), dtype=np.int32)  # part id of each seat
+        rows = np.arange(t)
+        for j in range(2, k + 1):
+            u = rng.integers(0, j, size=t)
+            part[:, j - 1] = np.where(u == j - 1, j - 1, part[rows, u])
+        flat = part + (rows * k)[:, None]
+        sizes = np.bincount(flat.ravel(), minlength=t * k).reshape(t, k)
+        largest = sizes.max(axis=1)
+        counts += np.bincount(largest, minlength=k + 1)
+        done += t
+    return counts / trials
 
 
 _float_cache: dict = {"k": 0, "P": np.zeros((1, 1)), "C": np.ones((1, 1))}
@@ -276,6 +304,34 @@ def test_sampler_multi_chunk_deterministic():
     b = sample_longest_cycle(k, trials, seed=9)
     assert np.array_equal(a, b)
     assert np.rint(a * trials).sum() == trials
+
+
+# one chunk with a partial last block; (20, 209_800), (2000, 2200): two
+# chunks, the last one partial; 128 and 129 sit either side of the
+# int8/int16 part-id boundary
+@pytest.mark.parametrize("k,trials", [
+    (1, 1000), (2, 999), (3, 70_000), (20, 100_000), (20, 209_800),
+    (128, 3000), (129, 3000), (2000, 2200), (5000, 100),
+])
+def test_sampler_equals_bincount_reference(k, trials):
+    for seed in (0, 7):
+        new = sample_longest_cycle(k, trials, seed)
+        old = sample_longest_cycle_bincount_reference(k, trials, seed)
+        assert new.dtype == old.dtype == np.float64
+        assert np.array_equal(new, old), (k, trials, seed)
+
+
+@pytest.mark.parametrize("k,trials,limit_mib", [(20, 100_000, 12), (2000, 5000, 24)])
+def test_sampler_working_set(k, trials, limit_mib):
+    # numpy reports its buffers to tracemalloc; the chunk-wide bincount
+    # sampler peaked at 40 and 112 MiB here
+    tracemalloc.start()
+    try:
+        sample_longest_cycle(k, trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 @pytest.mark.parametrize("k,trials", [(5, 200_000), (100, 50_000)])

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy
 import pytest
 
-from incpaths.cyclestats import alpha_table
+from incpaths import CapacityError, cyclestats
+from incpaths.cyclestats import FLOAT_CAP, alpha_table
 from incpaths.harness import (
     ExperimentConfig,
     Report,
@@ -122,6 +123,15 @@ def test_cycles_mc_matches_exact():
     report = run(ExperimentConfig(command="cycles-mc", k=6, trials=20000, seed=1))
     assert report.results["within_3_sigma"]
     assert abs(report.results["empirical_mean"] - report.results["exact_mean"]) < 0.1
+
+
+def test_cycles_mc_refuses_k_past_float_cap_before_sampling(monkeypatch):
+    def sampler(*args):
+        raise AssertionError("sampled before the capacity check")
+
+    monkeypatch.setattr(cyclestats, "sample_longest_cycle", sampler)
+    with pytest.raises(CapacityError):
+        run(ExperimentConfig(command="cycles-mc", k=FLOAT_CAP + 1, trials=1))
 
 
 def test_hamprob_probability_range():
