@@ -6,15 +6,15 @@ edges in ascending label order.  Labels are distinct, so each label step
 adds one edge and new states never chain within a step.  The DP keeps one
 big integer per end vertex v holding one w-bit field per subset S.
 Existence and longest-path use 1-bit fields (the set of reachable S);
-counting uses fields wide enough to hold the number of such paths.
+counting uses fields wide enough to hold the number of such paths.  The
+longest path has as many vertices as the largest subset size whose mask
+meets the reachable sets; all of it runs on Python integers.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .core import CapacityError, EdgeOrdering
 
@@ -60,16 +60,13 @@ def _field_masks(n: int, width: int) -> tuple:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
-
-
-def _bitset_to_bool(bits: int, size: int) -> np.ndarray:
-    raw = bits.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
-        :size
-    ].astype(bool)
+@lru_cache(maxsize=1)  # n + 1 masks of 2**n bits: 2.6 MiB at n=20
+def _size_masks(n: int) -> tuple:
+    """masks[s] has bit S set for every subset index S < 2**n with |S| = s."""
+    masks = [1]  # subsets of no vertices: the empty set
+    for v in range(n):  # a subset of 0..v either leaves out v or adds it
+        masks = [a | (b << (1 << v)) for a, b in zip(masks + [0], [0] + masks)]
+    return tuple(masks)
 
 
 def _reach_sets(ordering: EdgeOrdering, width: int) -> list:
@@ -110,9 +107,8 @@ def longest_increasing_path_len(ordering: EdgeOrdering) -> int:
     anywhere = 0
     for r in _reach_sets(ordering, 1):
         anywhere |= r
-    n = ordering.n
-    reachable = _bitset_to_bool(anywhere, 1 << n)
-    return int(_popcounts(n)[reachable].max()) - 1
+    masks = _size_masks(ordering.n)
+    return max(s for s, mask in enumerate(masks) if anywhere & mask) - 1
 
 
 def has_increasing_ham_path(ordering: EdgeOrdering) -> bool:

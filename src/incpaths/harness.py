@@ -31,8 +31,9 @@ census        intersection-profile census (CSV export)
 bounds        split-sum values S1, S2, S3 at a given n
 constant-c    partial sums converging to e^3
 
-Exit codes: 0 success, 2 invalid arguments, 3 capacity exceeded.
-``INCPATHS_THREADS`` sets the default worker count; --threads overrides.
+Exit codes: 0 success, 2 invalid arguments or an unwritable --out, 3
+capacity exceeded.  ``INCPATHS_THREADS`` sets the default worker count;
+--threads overrides.  A run clamps it to the trial and CPU counts (``meta``).
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         """Command defaults filled in; returns the config echo dict.
 
-        A parameter the command does not take, or a .csv ``out`` for a
-        command without a tabular export, is rejected rather than echoed
-        or ignored."""
+        A parameter the command does not take, a .csv ``out`` for a
+        command without a tabular export, or an ``out`` in a missing
+        directory is rejected rather than echoed, ignored or run into."""
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         command = COMMANDS[self.command]
@@ -126,6 +127,8 @@ class ExperimentConfig:
             params[name] = value
         if self.out and self.out.endswith(".csv") and command.rows is None:
             raise ValueError(f"{self.command} has no CSV export: {self.out}")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ValueError(f"--out directory does not exist: {self.out}")
         params["command"] = self.command
         params["seed"] = self.seed
         if params.get("trials", 1) < 1:
@@ -458,6 +461,8 @@ def run(config: ExperimentConfig) -> Report:
     threads = config.threads if config.threads is not None else default_threads()
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
+    # a fork pool starts all its workers at once: no more than trials or CPUs
+    threads = min(threads, params.get("trials", 1), os.cpu_count() or 1)
     command = COMMANDS[config.command]
     _import_layers(_layers(params))
     if threads > 1:
@@ -471,15 +476,18 @@ def run(config: ExperimentConfig) -> Report:
               "peak_rss_mb": _peak_rss_mb()},
     )
     if config.out:
-        with open(config.out, "w", newline="") as fh:
-            if config.out.endswith(".csv"):
-                rows = command.rows(results)
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
-            else:
-                fh.write(report.to_json())
-                fh.write("\n")
+        try:
+            with open(config.out, "w", newline="") as fh:
+                if config.out.endswith(".csv"):
+                    rows = command.rows(results)
+                    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                    writer.writeheader()
+                    writer.writerows(rows)
+                else:
+                    fh.write(report.to_json())
+                    fh.write("\n")
+        except OSError as exc:  # a directory, say
+            raise ValueError(f"cannot write --out {config.out}: {exc.strerror}") from exc
     return report
 
 

@@ -18,10 +18,13 @@ candidate rows with a heap instead of visiting all m edges:
   and the vertices off the path with a label above tau are sorted once;
   when it rejoins after its subtree was discarded, tau is found in that
   sorted row by binary search;
-* the heap holds each tree vertex's next candidate.  Targets on the path
-  are skipped as soon as they are reached (path membership is permanent);
-  targets in the tree are checked only when popped, because a discarded
-  subtree makes its vertices eligible again.
+* the heap holds each tree vertex's next candidate as (label, vertex,
+  row index).  Targets on the path are skipped as soon as they are
+  reached (path membership is permanent); targets in the tree are checked
+  only when popped, because a discarded subtree makes its vertices
+  eligible again.  A popped entry is skipped unless its vertex is in the
+  tree with that row index queued; one left from an earlier stay that
+  passes this equals the current entry.
 
 A run costs one row sort per distinct joined vertex plus O(log n) per
 commit and per skipped candidate.
@@ -100,10 +103,7 @@ def k_greedy_path(
         raise ValueError(f"unknown mode {mode!r}")
 
     path = [v0]
-    children: dict[int, list[int]] = {v0: []}
-    tree_edges = 0
-    in_tree = [False] * n
-    in_tree[v0] = True
+    children: dict[int, list[int]] = {v0: []}  # keys: the tree's vertices
     on_path = bytearray(n)
     on_path[v0] = True
     on_path_mask = np.frombuffer(on_path, dtype=bool)  # live view of on_path
@@ -111,7 +111,6 @@ def k_greedy_path(
     # the vertices off the path with a label above tau at x's first join
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     pos = [0] * n  # index of x's queued candidate in rows[x]
-    stamp = [0] * n  # joins so far; heap entries of an earlier join are stale
     heap: list[tuple[float, int, int]] = []
 
     tau = 0.0
@@ -123,20 +122,16 @@ def k_greedy_path(
     def advance_into_largest_subtree():
         """Step the path into the largest root-child subtree; returns its
         vertex count.  Discarded subtree vertices leave P-union-T."""
-        nonlocal tree_edges
         root = path[-1]
         subtrees = [_subtree_vertices(c, children) for c in children.pop(root)]
         kept = max(subtrees, key=len)  # earliest-added root child wins ties
         for sub in subtrees:
             if sub is not kept:
                 for v in sub:
-                    in_tree[v] = False
                     children.pop(v, None)
-        in_tree[root] = False  # root stays on the path
-        del rows[root]
+        del rows[root]  # root stays on the path and never rejoins
         path.append(kept[0])
         on_path[kept[0]] = True
-        tree_edges = len(kept) - 1
         return len(kept)
 
     def queue_from(x, p):
@@ -147,10 +142,9 @@ def k_greedy_path(
             p += 1
         pos[x] = p
         if p < size:
-            heapq.heappush(heap, (labels.item(p), x, stamp[x]))
+            heapq.heappush(heap, (labels.item(p), x, p))
 
     def join(x):
-        stamp[x] += 1
         if x in rows:
             queue_from(x, int(rows[x][0].searchsorted(tau, side="right")))
             return
@@ -165,33 +159,31 @@ def k_greedy_path(
 
     join(v0)
     while heap:
-        label, attach, s = heapq.heappop(heap)
-        if not in_tree[attach] or s != stamp[attach]:
-            continue  # attach left the tree after this entry was queued
-        child = rows[attach][1].item(pos[attach])
-        if on_path[child] or in_tree[child]:
-            queue_from(attach, pos[attach] + 1)
+        label, attach, p = heapq.heappop(heap)
+        if attach not in children or p != pos[attach]:
+            continue  # attach left the tree, or moved on, after this entry was queued
+        child = rows[attach][1].item(p)
+        if on_path[child] or child in children:
+            queue_from(attach, p + 1)
             continue
         # commit the minimum eligible edge: everything below this label was
         # already committed or is excluded by the current state
         children[attach].append(child)
         children[child] = []
-        in_tree[child] = True
-        tree_edges += 1
         tau = label
-        if tree_edges == k:
+        if len(children) > k:  # the tree has len(children) - 1 edges
             retained = advance_into_largest_subtree()
             trace_ell.append(len(path) - 1)
             trace_retained.append(retained)
             trace_waiting.append(tau - tau_prev)
             tau_prev = tau
-        if in_tree[attach]:
-            queue_from(attach, pos[attach] + 1)
-        if in_tree[child]:
+        if attach in children:
+            queue_from(attach, p + 1)
+        if child in children:
             join(child)
 
     if mode == EXHAUST:
-        while tree_edges > 0:
+        while len(children) > 1:
             advance_into_largest_subtree()
 
     trace = KGreedyTrace(

@@ -132,6 +132,74 @@ def test_detie_breaks_a_tie_at_the_top_double_downward():
     assert list(np.argsort(fixed, kind="stable")) == [3, 0, 1, 2]
 
 
+def detie_real_loop(labels):
+    """The element-by-element _detie_real, kept as the reference for the
+    vectorised one."""
+    labels = labels.copy()
+    labels[labels <= 0.0] = np.nextafter(0.0, 1.0)
+    order = np.argsort(labels, kind="stable")
+    prev = 0.0
+    for i in order:
+        if labels[i] <= prev:
+            labels[i] = np.nextafter(prev, np.inf)
+        prev = labels[i]
+    ceiling = 1.0
+    for i in order[::-1]:
+        if labels[i] < ceiling:
+            break
+        labels[i] = ceiling = np.nextafter(ceiling, 0.0)
+    return labels
+
+
+def assert_detie_matches_loop(labels):
+    labels = np.array(labels, dtype=np.float64)
+    fixed, expected = core._detie_real(labels), detie_real_loop(labels)
+    assert fixed.dtype == np.float64
+    assert np.array_equal(fixed.view(np.int64), expected.view(np.int64))
+
+
+_TOP = float(np.nextafter(1.0, 0.0))
+_BELOW_TOP = float(np.nextafter(_TOP, 0.0))
+_QUARTER_UP = float(np.nextafter(0.25, 1.0))
+# zeros and negatives, subnormals, one-ulp neighbours and the top doubles
+_DETIE_GRID = [-0.5, -0.0, 0.0, 5e-324, 1e-323, float(np.nextafter(0.25, 0.0)), 0.25,
+               _QUARTER_UP, 0.5, _BELOW_TOP, _TOP]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [],
+        [0.0],
+        [0.0] * 6,
+        [0.3] * 8,
+        [-0.0, -1.0, 0.0, 5e-324, 5e-324],
+        [0.5, 0.25, 0.5, 0.0, 0.25],
+        # a one-ulp cascade: each bump lands on the next sampled value
+        [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0)), 0.25, 0.5],
+        [_TOP] * 5,
+        [0.5, _TOP, _TOP],
+        [_TOP, _TOP, _TOP, _BELOW_TOP],
+        # the downward walk passes the top ties and stops above 0.1
+        [_TOP, _BELOW_TOP, _TOP, _BELOW_TOP, _TOP, 0.1, 0.1],
+    ],
+)
+def test_detie_matches_loop_on_crafted_arrays(labels):
+    assert_detie_matches_loop(labels)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_DETIE_GRID), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_detie_matches_loop_on_fuzzed_arrays(labels):
+    assert_detie_matches_loop(labels)
+
+
 def test_matching_ordering_k4_blocks():
     ordering = matching_ordering(4)
     by_label = {}

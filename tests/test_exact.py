@@ -20,6 +20,7 @@ from incpaths.core import (
 )
 from incpaths.exact import (
     _field_masks,
+    _size_masks,
     brute_force_longest,
     count_increasing_ham_paths,
     has_increasing_ham_path,
@@ -251,6 +252,22 @@ def test_field_mask_cache_is_bounded():
         has_increasing_ham_path(random_ordering(n, 0))
     info = _field_masks.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_size_masks_mark_each_subset_by_its_size(n):
+    masks = _size_masks(n)
+    assert len(masks) == n + 1
+    for s, mask in enumerate(masks):
+        assert mask >> (1 << n) == 0
+        assert all((mask >> S & 1) == (bin(S).count("1") == s) for S in range(1 << n))
+
+
+def test_size_mask_cache_holds_one_n():
+    for n in range(2, 12):
+        longest_increasing_path_len(random_ordering(n, 0))
+    info = _size_masks.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
 
 
 def test_capacity_errors():

@@ -1,5 +1,6 @@
 """Tests for incpaths.harness."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from incpaths import CapacityError, cyclestats
+from incpaths import CapacityError, cyclestats, harness
 from incpaths.cyclestats import FLOAT_CAP, alpha_table
 from incpaths.harness import (
     ExperimentConfig,
@@ -227,6 +228,62 @@ def test_cli_rejects_csv_out_without_export(tmp_path, capsys):
     assert main(["greedy-sim", "--n", "20", "--trials", "2", "--out", str(out)]) == 2
     assert "no CSV export" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_out_in_a_missing_directory_before_any_work(tmp_path, monkeypatch, capsys):
+    def work(*args):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setitem(harness.COMMANDS, "bounds", harness.COMMANDS["bounds"]._replace(impl=work))
+    out = tmp_path / "missing" / "x.json"
+    assert main(["bounds", "--n", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out directory does not exist")
+
+
+def test_cli_exits_2_when_out_cannot_be_written(tmp_path, capsys):
+    assert main(["bounds", "--n", "20", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --out") and not captured.out
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs
+    the tasks in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "trials, cpus, pool",
+    [(2, 8, 2), (10, 3, 3), (10, None, None), (1, 8, None)],
+    ids=["trials", "cpus", "cpu-count-unknown", "one-trial"],
+)
+def test_worker_count_is_clamped_to_trials_and_cpus(monkeypatch, trials, cpus, pool):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    base = dict(command="hamprob", n=5, trials=trials, seed=3)
+    report = run(ExperimentConfig(**base, threads=5000))
+    assert RecordingPool.sizes == ([] if pool is None else [pool])
+    assert report.meta["threads"] == (pool or 1)
+    assert strip_meta(report) == strip_meta(run(ExperimentConfig(**base, threads=1)))
+
+
+def test_commands_without_trials_report_one_worker():
+    assert run(ExperimentConfig(command="bounds", n=20, threads=4)).meta["threads"] == 1
 
 
 @pytest.mark.parametrize(
