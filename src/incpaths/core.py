@@ -106,7 +106,6 @@ class EdgeOrdering:
     n: int
     model: str
     labels: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -213,10 +212,10 @@ def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering
     else:
         labels = rng.random(m)
         try:
-            return EdgeOrdering(n=n, model=model, labels=labels, seed=seed)
+            return EdgeOrdering(n=n, model=model, labels=labels)
         except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
             labels = _detie_real(labels)
-    return EdgeOrdering(n=n, model=model, labels=labels, seed=seed)
+    return EdgeOrdering(n=n, model=model, labels=labels)
 
 
 def matching_ordering(n: int) -> EdgeOrdering:

@@ -32,8 +32,10 @@ bounds        split-sum values S1, S2, S3 at a given n
 constant-c    partial sums converging to e^3
 
 Exit codes: 0 success, 2 invalid arguments or an unwritable --out, 3
-capacity exceeded.  ``INCPATHS_THREADS`` sets the default worker count;
---threads overrides.  A run clamps it to the trial and CPU counts (``meta``).
+capacity exceeded.  --threads (default 1) is the worker count; a run clamps
+it to the trial and CPU counts, and to 1 for a command that draws no ordering
+per trial (``cycles-mc`` too), and reports it in ``meta``.  --emit-raw,
+taken only with --trials, is echoed in ``config`` as ``"emit_raw": true``.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class ExperimentConfig:
     mode: str | None = None
     precision: str | None = None
     out: str | None = None
-    threads: int | None = None
+    threads: int = 1
     emit_raw: bool = False
 
     def resolved(self) -> dict:
@@ -125,6 +127,10 @@ class ExperimentConfig:
             if name not in params and name not in command.optional:
                 raise ValueError(f"{self.command} takes no --{name}")
             params[name] = value
+        if self.emit_raw:
+            if "trials" not in params:
+                raise ValueError(f"{self.command} takes no --emit-raw")
+            params["emit_raw"] = True
         if self.out and self.out.endswith(".csv") and command.rows is None:
             raise ValueError(f"{self.command} has no CSV export: {self.out}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
@@ -243,12 +249,12 @@ def _run_trials(measure, params, threads):
     return list(map(task, seeds))
 
 
-def _cmd_trial_series(measure, keys, config, params, threads, reduce=None):
+def _cmd_trial_series(measure, keys, params, threads, reduce=None):
     """One series per key (a measure returns a tuple for several keys), plus
     the entries ``reduce(params, *columns)`` derives from them."""
     values = _run_trials(measure, params, threads)
     columns = [values] if len(keys) == 1 else [list(col) for col in zip(*values)]
-    results = {key: _series(col, config.emit_raw) for key, col in zip(keys, columns)}
+    results = {key: _series(col, params.get("emit_raw")) for key, col in zip(keys, columns)}
     if reduce is not None:
         results.update(reduce(params, *columns))
     return results
@@ -274,7 +280,7 @@ def _expected_mean(params, counts):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_alpha_table(config, params, threads):
+def _cmd_alpha_table(params, threads):
     rows = cyclestats.alpha_table(params["k"], params["precision"])
     return {"rows": rows, "k_max": params["k"], "last_row": rows[-1]}
 
@@ -283,7 +289,7 @@ def _alpha_table_layers(params):
     return ("cyclestats", "numpy") if params["precision"] == FLOAT else ("cyclestats",)
 
 
-def _cmd_cycles_mc(config, params, threads):
+def _cmd_cycles_mc(params, threads):
     k = params["k"]
     precision = RATIONAL if k <= cyclestats.RATIONAL_CAP else FLOAT
     # first, so that a k past FLOAT_CAP is refused before any sampling
@@ -303,14 +309,14 @@ def _cmd_cycles_mc(config, params, threads):
         "empirical_mean": float(numpy.dot(numpy.arange(k + 1), empirical)),
         "exact_mean": float(numpy.dot(numpy.arange(k + 1), exact_pmf)),
     }
-    if config.emit_raw:
+    if params.get("emit_raw"):
         results["empirical_pmf"] = [float(x) for x in empirical]
     return results
 
 
-def _cmd_moments(config, params, threads):
+def _cmd_moments(params, threads):
     if "trials" in params:
-        return _cmd_trial_series(_ham_path_count, ("count",), config, params, threads,
+        return _cmd_trial_series(_ham_path_count, ("count",), params, threads,
                                  reduce=_expected_mean)
     return secondmoment.moment_report_to_dict(secondmoment.exact_moments(params["n"]))
 
@@ -319,7 +325,7 @@ def _moments_layers(params):
     return ("core", "exact") if "trials" in params else ("secondmoment",)
 
 
-def _cmd_census(config, params, threads):
+def _cmd_census(params, threads):
     n = params["n"]
     report = secondmoment.exact_moments(n)
     census = report.census
@@ -348,7 +354,7 @@ def _census_csv_rows(results):
              "mass_numerator": r["mass"], "mass_denominator": "1"} for r in results["classes"]]
 
 
-def _cmd_bounds(config, params, threads):
+def _cmd_bounds(params, threads):
     n = params["n"]
     s1, s2, s3 = secondmoment.s_sum_bounds(n)
     return {
@@ -361,7 +367,7 @@ def _cmd_bounds(config, params, threads):
     }
 
 
-def _cmd_constant_c(config, params, threads):
+def _cmd_constant_c(params, threads):
     c_max = params["k"]
     partial = secondmoment.constant_C_partial(c_max)
     e_cubed = math.exp(3)
@@ -377,7 +383,7 @@ def _cmd_constant_c(config, params, threads):
     }
 
 
-def _cmd_worstcase(config, params, threads):
+def _cmd_worstcase(params, threads):
     n = params["n"]
     ordering = core.matching_ordering(n)
     ped_max, ped_total, ref_max = _walk_lengths(ordering)
@@ -395,7 +401,7 @@ def _cmd_worstcase(config, params, threads):
 
 class Command(NamedTuple):
     """One CLI command: its default parameters, the function
-    ``impl(config, params, threads)`` that returns its results block, the
+    ``impl(params, threads)`` that returns its results block, the
     layers it runs (module names for ``_import_layers``, or a function of
     the resolved parameters that returns them), the parameters it also
     takes without a default, and, for a command with a tabular export, the
@@ -444,31 +450,23 @@ def _layers(params: dict) -> tuple:
     return layers(params) if callable(layers) else layers
 
 
-def default_threads() -> int:
-    env = os.environ.get("INCPATHS_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"INCPATHS_THREADS must be an integer, got {env!r}") from None
-
-
 def run(config: ExperimentConfig) -> Report:
     """Execute one experiment; the report's config/results block is
     bit-stable for a fixed (config, version) regardless of worker count."""
     params = config.resolved()
-    threads = config.threads if config.threads is not None else default_threads()
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
-    # a fork pool starts all its workers at once: no more than trials or CPUs
-    threads = min(threads, params.get("trials", 1), os.cpu_count() or 1)
+    if config.threads < 1:
+        raise ValueError(f"need threads >= 1, got {config.threads}")
+    layers = _layers(params)
+    # a fork pool starts all its workers at once: no more than trials or CPUs,
+    # and none for a command that draws no ordering (``core``) per trial
+    trials = params.get("trials", 1) if "core" in layers else 1
+    threads = min(config.threads, trials, os.cpu_count() or 1)
     command = COMMANDS[config.command]
-    _import_layers(_layers(params))
+    _import_layers(layers)
     if threads > 1:
         import concurrent.futures  # noqa: F401  (the trial pool's, about 30 ms)
     start = time.time()
-    results = command.impl(config, params, threads)
+    results = command.impl(params, threads)
     report = Report(
         config=params,
         results=results,
@@ -509,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", choices=["rational", "float"], default=None)
         p.add_argument("--out", type=str, default=None,
                        help="report path; .csv selects the tabular export where available")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--emit-raw", action="store_true")
     return parser
 

@@ -217,12 +217,6 @@ def test_cli_rejects_nonpositive_threads(threads):
     assert main(["greedy-sim", "--n", "20", "--trials", "2", "--threads", threads]) == 2
 
 
-@pytest.mark.parametrize("env", ["garbage", "0"])
-def test_cli_rejects_invalid_threads_env(monkeypatch, env):
-    monkeypatch.setenv("INCPATHS_THREADS", env)
-    assert main(["greedy-sim", "--n", "20", "--trials", "2"]) == 2
-
-
 def test_cli_rejects_csv_out_without_export(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["greedy-sim", "--n", "20", "--trials", "2", "--out", str(out)]) == 2
@@ -282,8 +276,15 @@ def test_worker_count_is_clamped_to_trials_and_cpus(monkeypatch, trials, cpus, p
     assert strip_meta(report) == strip_meta(run(ExperimentConfig(**base, threads=1)))
 
 
-def test_commands_without_trials_report_one_worker():
-    assert run(ExperimentConfig(command="bounds", n=20, threads=4)).meta["threads"] == 1
+def test_commands_without_trials_report_one_worker(monkeypatch):
+    # cycles-mc takes --trials but draws no ordering per trial: it samples
+    # in this process, so it builds no pool and reports one worker too
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for base in (dict(command="bounds", n=20), dict(command="cycles-mc", k=5, trials=100)):
+        assert run(ExperimentConfig(**base, threads=4)).meta["threads"] == 1
+    assert RecordingPool.sizes == []
 
 
 @pytest.mark.parametrize(
@@ -294,11 +295,32 @@ def test_commands_without_trials_report_one_worker():
         ["census", "--n", "4", "--k", "2"],
         ["cycles-mc", "--k", "5", "--n", "3"],
         ["greedy-sim", "--n", "20", "--trials", "2", "--precision", "float"],
+        # --emit-raw goes with --trials
+        ["bounds", "--n", "20", "--emit-raw"],
+        ["census", "--n", "4", "--emit-raw"],
+        ["moments", "--n", "4", "--emit-raw"],
+        ["alpha-table", "--k", "5", "--emit-raw"],
+        ["constant-c", "--k", "10", "--emit-raw"],
+        ["worstcase", "--n", "6", "--emit-raw"],
     ],
 )
 def test_cli_rejects_stray_flags(argv, capsys):
     assert main(argv) == 2
     assert "takes no --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base",
+    [dict(command="greedy-sim", n=30, trials=3, seed=1),
+     dict(command="cycles-mc", k=5, trials=100)],
+    ids=["greedy-sim", "cycles-mc"],
+)
+def test_emit_raw_is_echoed_in_config(base):
+    plain = run(ExperimentConfig(**base))
+    raw = run(ExperimentConfig(**base, emit_raw=True))
+    assert "emit_raw" not in plain.config
+    assert raw.config == {**plain.config, "emit_raw": True}
+    assert raw.results != plain.results  # the trial values, or the empirical pmf
 
 
 def test_moments_takes_trials():

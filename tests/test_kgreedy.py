@@ -1,11 +1,14 @@
 """Tests for incpaths.kgreedy."""
 
+import heapq
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from incpaths import core
+from incpaths import core, kgreedy
 from incpaths.core import is_increasing, is_path, random_ordering
 from incpaths.cyclestats import longest_cycle_distribution
 from incpaths.kgreedy import (
@@ -217,6 +220,42 @@ def test_matches_scan_reference(n, model):
 @pytest.mark.parametrize("k, mode", [(10, EXHAUST), (172, STRICT)])
 def test_matches_scan_reference_at_scale(k, mode):
     assert_same_run_as_scan(random_ordering(2000, 3, core.REAL), 0, k, mode)
+
+
+def test_acted_on_entries_carry_the_queued_row_index(monkeypatch):
+    # The row-index half of the heap staleness rule, which the paths cannot
+    # show: an entry left from an earlier stay of its vertex, if acted on,
+    # re-handles a candidate already passed and queues a duplicate.  An
+    # entry acted on is continued by a push for its vertex right after the
+    # pop; the popped row index must be the one last pushed for the vertex.
+    events = []  # (pushed, vertex, row index) in call order
+
+    def heappush(heap, entry):
+        events.append((True, entry[1], entry[2]))
+        heapq.heappush(heap, entry)
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        events.append((False, entry[1], entry[2]))
+        return entry
+
+    monkeypatch.setattr(kgreedy, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+    continuations = 0
+    grid = itertools.product((10, 30, 60, 200), (1, 2, 5, 20), core.MODELS, MODES, range(5))
+    for n, k, model, mode, seed in grid:
+        events.clear()
+        k_greedy_path(random_ordering(n, seed, model), 0, k, mode)
+        last_pushed, popped = {}, None
+        for pushed, x, p in events:
+            if not pushed:
+                popped = (x, p)
+                continue
+            if popped is not None and popped[0] == x:  # a continuation
+                assert popped[1] == last_pushed[x], (n, k, model, mode, seed)
+                continuations += 1
+            last_pushed[x] = p
+            popped = None
+    assert continuations > 0
 
 
 def test_k1_exhaust_equals_greedy():
