@@ -5,13 +5,19 @@ L_k is the length of the longest cycle of a uniform permutation of
 
     Pr[L_n = s] = sum_{j=1..floor(n/s)} 1/(j! s^j) * Pr[L_{n-sj} <= s-1]
 
-with L_0 identically 0, which is evaluated bottom-up either exactly, as
-integer counts of permutations by longest cycle (authoritative,
-k <= 200), or vectorized float64 with Kahan compensation (k <= 5000).
-Exact values are those counts over k!.  From the tables come alpha_k =
-E[1/L_k + 1/(L_k+1) + ... + 1/k], the predicted path fraction
-1 - exp(-1/alpha_k), and E[L_k/k] (whose limit is the Golomb-Dickman
-constant, about 0.6243).
+with L_0 identically 0.  It is evaluated bottom-up either exactly
+(authoritative, k <= 200) or in vectorized float64 with Kahan
+compensation (k <= 5000).  The exact path counts the permutations of n
+elements whose cycles all have length at most t,
+
+    A_n(t) = n A_{n-1}(t) - (n-1)_t A_{n-1-t}(t),
+
+which follows from E' = E (1-x^t)/(1-x) for their exponential generating
+function E; each entry is one step from the row before, with the falling
+factorial (n-1)_t stepped in t.  Exact values are these counts over k!.
+From the tables come alpha_k = E[1/L_k + 1/(L_k+1) + ... + 1/k], the
+predicted path fraction 1 - exp(-1/alpha_k), and E[L_k/k] (whose limit
+is the Golomb-Dickman constant, about 0.6243).
 
 The exact cdf counts are memoized module-wide and grow a row at a time;
 a pmf row is the difference of its cdf row.  The float pmf table is not
@@ -92,22 +98,19 @@ def _factorial(j: int) -> int:
 
 
 def _grow_exact(k: int) -> None:
-    """N_n(s) = sum_j n!/((n-sj)! j! s^j) * A_{n-sj}(s-1): choose the j
-    cycles of length s, then permute the rest with cycles shorter than s."""
+    """Rows n up to k of A_n(t) = n A_{n-1}(t) - (n-1)_t A_{n-1-t}(t), with
+    A_r(t) = r! for t >= r, A_n(0) = 0 for n >= 1 and A_n(n) = n!."""
     _factorial(k)
     for n in range(len(_counts), k + 1):
+        prev = _counts[n - 1]
         row = [0] * (n + 1)
-        for s in range(1, n + 1):
-            total = 0
-            ways = 1  # n!/((n-sj)! j! s^j), stepped in j
-            rest = n
-            cycle = _factorials[s - 1]  # (s-1)! cyclic orders of s chosen elements
-            for j in range(1, n // s + 1):
-                ways = ways * math.comb(rest, s) * cycle // j
-                rest -= s
-                total += ways * (_counts[rest][s - 1] if s - 1 <= rest else _factorials[rest])
-            row[s] = total
-        _counts.append(list(itertools.accumulate(row)))
+        falling = 1  # (n-1)_t
+        for t in range(1, n):
+            falling *= n - t
+            rest = n - 1 - t
+            row[t] = n * prev[t] - falling * (_counts[rest][t] if t <= rest else _factorials[rest])
+        row[n] = _factorials[n]
+        _counts.append(row)
 
 
 # ---------------------------------------------------------------------------

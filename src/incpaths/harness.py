@@ -369,17 +369,17 @@ def _cmd_bounds(params, threads):
 
 def _cmd_constant_c(params, threads):
     c_max = params["k"]
-    partial = secondmoment.constant_C_partial(c_max)
+    partial_sum = secondmoment.constant_C_partial(c_max)
     e_cubed = math.exp(3)
     return {
         "c_max": c_max,
         "partial_sum": {
-            "numerator": str(partial.numerator),
-            "denominator": str(partial.denominator),
+            "numerator": str(partial_sum.numerator),
+            "denominator": str(partial_sum.denominator),
         },
-        "partial_sum_float": float(partial),
+        "partial_sum_float": float(partial_sum),
         "e_cubed": e_cubed,
-        "abs_error": abs(float(partial) - e_cubed),
+        "abs_error": abs(float(partial_sum) - e_cubed),
     }
 
 

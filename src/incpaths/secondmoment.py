@@ -29,6 +29,17 @@ sums are integers over the common denominator (2n-2)!; E[H_n^2] becomes
 one Fraction and each split sum one correctly rounded division at the
 end.  No other floating point enters except where an explicit e^{-2}
 scale factor is applied.
+
+The medium and large-c split sums and the e^3 partial sums compute no
+binomial per term.  Within a split sum the k-factor
+a_k = 2^k C(c-1, k-1) C(2m+k, k) is stepped from a_{k-1},
+
+    a_k = a_{k-1} * 2 (c-k+1)(2m+k) / ((k-1) k),    a_1 = 2(2m+1),
+
+and sum_k a_k (n-c-k)! runs by Horner's rule.  The e^3 partial sums read
+the segment counts inner(c, k) = [x^c] (2x + x^2/(1-x))^k off one row per
+k, each row a prefix-sum step from the one before, and sum over k by
+Horner's rule too.
 """
 
 from __future__ import annotations
@@ -36,11 +47,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import mul
 
 from . import CapacityError
 
 MOMENTS_CAP = 7
+# round sizes whose max RSS stays under 1 GiB by the memory models in
+# s_sum_bounds and constant_C_partial: 953 and 997 MiB, interpreter
+# included; s_sum_bounds' tables alone peaked at 953 MiB at n = 15000
+BOUNDS_CAP = 15000
+CONSTANT_C_CAP = 70000
 
 
 @dataclass(frozen=True, order=True)
@@ -229,20 +246,6 @@ def embedding_bound(c: int, k: int, n: int) -> int:
     return math.factorial(n) * math.factorial(n - c - k)
 
 
-def _split_k_factor(c, k, n, fact):
-    """The factor of a split term that varies with k: 2^k C(c-1, k-1)
-    C(2m+k, k) (n-c-k)! with m = n-c-1."""
-    m = n - c - 1
-    return 2**k * math.comb(c - 1, k - 1) * math.comb(2 * m + k, k) * fact[n - c - k]
-
-
-def _split_term(c, k, n, fact):
-    """2^k C(c-1, k-1) multinomial(2(n-c-1)+k; ...) n!(n-c-k)!/(2n-c-2)!"""
-    m = n - c - 1
-    num = _split_k_factor(c, k, n, fact) * math.comb(2 * m, m) * fact[n]
-    return Fraction(num, fact[2 * n - c - 2])
-
-
 def _falling_to_common(n):
     """up[c] = (2n-2)!/(2n-c-2)!, which lifts a term over (2n-c-2)! to one
     over the common denominator (2n-2)!, for c = 0..n-1."""
@@ -253,13 +256,19 @@ def _falling_to_common(n):
 
 
 def _split_sum(c_range, n, fact, up):
-    """Sum of ``_split_term`` over c in c_range and 1 <= k <= min(c, n-c),
-    as an integer over (2n-2)!; factors free of k are applied once per c."""
+    """Sum of the split terms 2^k C(c-1, k-1) multinomial(2m+k; m, m, k)
+    n! (n-c-k)!/(2n-c-2)!, m = n-c-1, over c in c_range and
+    1 <= k <= min(c, n-c), as an integer over (2n-2)!: a_k stepped in k
+    and summed by Horner's rule, the factors free of k once per c."""
     total = 0
     for c in c_range:
         m = n - c - 1
-        inner = sum(_split_k_factor(c, k, n, fact) for k in range(1, min(c, n - c) + 1))
-        total += inner * math.comb(2 * m, m) * up[c]
+        top = min(c, n - c)
+        a = horner = 2 * (2 * m + 1)  # a_1
+        for k in range(2, top + 1):
+            a = a * 2 * (c - k + 1) * (2 * m + k) // ((k - 1) * k)
+            horner = horner * (n - c - k + 1) + a
+        total += horner * fact[n - c - top] * math.comb(2 * m, m) * up[c]
     return total * fact[n]
 
 
@@ -276,8 +285,18 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     """
     if n < 10:
         raise ValueError(f"need n >= 10, got n={n}")
-    fact = [math.factorial(i) for i in range(2 * n)]
+    if n > BOUNDS_CAP:
+        # 0!..(2n-1)! and the n lifts up[c] in CPython's 30-bit digits, 4-byte
+        # words: 0.314 n^2 log2(n) bytes.  Calibrated on the max RSS rise
+        # over the bare interpreter for bounds at n = 1000, 2000 and 4000:
+        # 2.4, 12.7 and 57.0 MiB, against 3.0, 13.1 and 57.2 MiB here.
+        mem = 0.314 * n * n * math.log2(n)
+        raise CapacityError(
+            f"n={n} exceeds cap {BOUNDS_CAP}; raising the cap needs about "
+            f"{mem / 2**20:.0f} MiB of factorial tables"
+        )
     up = _falling_to_common(n)
+    fact = [1, *accumulate(range(1, 2 * n), mul)]
     c_small = int(math.floor(math.log(n)))
     c_mid = 9 * n // 10
 
@@ -293,22 +312,45 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     return math.exp(-2) * (small / common), mid / common, tail / common
 
 
+def _segment_rows(c_max):
+    """Rows inner(., k) for k = 0..c_max, each over c = 0..c_max, where
+    inner(c, k) = sum_ell C(k, ell) #comps(c-ell, k-ell) 2^ell =
+    [x^c] (2x + x^2/(1-x))^k counts the ways to lay k segments over c
+    shared edges, each a single edge (2 orientations) or a run of >= 2."""
+    row = [1] + [0] * c_max
+    for _ in range(c_max + 1):
+        yield row
+        # times 2x + x^2/(1-x): next[c] = 2 row[c-1] + row[0] + ... + row[c-2]
+        below = 0
+        nxt = [0] * (c_max + 1)
+        for c in range(1, c_max + 1):
+            nxt[c] = 2 * row[c - 1] + below
+            below += row[c - 1]
+        row = nxt
+
+
 def constant_C_partial(c_max: int) -> Fraction:
     """Partial sum, over shared-edge counts c <= c_max, of the limiting
     inner constant sum_{k,ell} C(k,ell) #comps 2^{ell-c+k} / k!; converges
     to e^3 = 20.0855... as c_max grows.  Exact rational."""
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
-    # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max
-    up = [math.factorial(c_max) // math.factorial(k) for k in range(c_max + 1)]
+    if c_max > CONSTANT_C_CAP:
+        # two rows of segment counts, the largest of them near k = c_max/3:
+        # 0.21 c_max^2 bytes.  Calibrated on the max RSS rise over the bare
+        # interpreter for constant-c at c_max = 2000, 4000 and 8000: 1.0,
+        # 3.7 and 12.7 MiB, against 0.8, 3.2 and 12.8 MiB here.
+        mem = 0.21 * c_max * c_max
+        raise CapacityError(
+            f"c_max={c_max} exceeds cap {CONSTANT_C_CAP}; raising the cap needs "
+            f"about {mem / 2**20:.0f} MiB of segment counts"
+        )
+    # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max, by
+    # Horner's rule in k: total_k = k total_{k-1} + 2^k sum_c inner 2^(c_max-c)
     total = 0
-    for c in range(c_max + 1):
-        for k in range(0, c + 1):
-            inner = 0
-            for ell in range(max(0, 2 * k - c), k + 1):
-                inner += math.comb(k, ell) * _compositions_min2(c - ell, k - ell) * 2**ell
-            total += inner * up[k] << (k + c_max - c)
-    return Fraction(total, up[0] << c_max)
+    for k, row in enumerate(_segment_rows(c_max)):
+        total = total * k + (sum(x << (c_max - c) for c, x in enumerate(row)) << k)
+    return Fraction(total, math.factorial(c_max) << c_max)
 
 
 # ---------------------------------------------------------------------------

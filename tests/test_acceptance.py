@@ -248,7 +248,7 @@ def _log_factorials(size):
 
 
 def _log_split_term(n, c, k, lf):
-    """log of secondmoment._split_term(c, k, n, ...), from the table lf of
+    """log of _split_term(c, k, n, ...), from the table lf of
     log-factorials: 2^k C(c-1, k-1) (2m+k)!/(m!^2 k!) n! (n-c-k)!/(2n-c-2)!
     with m = n-c-1.  k may be an integer array."""
     m = n - c - 1
@@ -280,6 +280,24 @@ def _log_fraction(q):
     else:
         mantissa = q.numerator // (q.denominator << -shift)
     return math.log(mantissa) - shift * math.log(2)
+
+
+# s_sum_bounds' split terms one at a time, as the package computed them
+# before it stepped them in k, word for word
+
+
+def _split_k_factor(c, k, n, fact):
+    """The factor of a split term that varies with k: 2^k C(c-1, k-1)
+    C(2m+k, k) (n-c-k)! with m = n-c-1."""
+    m = n - c - 1
+    return 2**k * math.comb(c - 1, k - 1) * math.comb(2 * m + k, k) * fact[n - c - k]
+
+
+def _split_term(c, k, n, fact):
+    """2^k C(c-1, k-1) multinomial(2(n-c-1)+k; ...) n!(n-c-k)!/(2n-c-2)!"""
+    m = n - c - 1
+    num = _split_k_factor(c, k, n, fact) * math.comb(2 * m, m) * fact[n]
+    return Fraction(num, fact[2 * n - c - 2])
 
 
 class _Factorials:
@@ -317,7 +335,7 @@ def test_criterion_12_bound_sanity():
     terms_ok = all(
         abs(
             _log_split_term(n, c, k, lf)
-            - _log_fraction(secondmoment._split_term(c, k, n, _Factorials()))
+            - _log_fraction(_split_term(c, k, n, _Factorials()))
         ) <= 1e-10
         for c, k in ((5761, 1), (5761, 639), (6000, 200), (6350, 50), (6399, 1))
     )

@@ -9,10 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from incpaths import cyclestats
 from incpaths.core import CapacityError
 from incpaths.cyclestats import (
     _CHUNK_SEATS,
     _MIN_DENOM,
+    _factorial,
+    _factorials,
     FLOAT,
     FLOAT_CAP,
     RATIONAL,
@@ -177,6 +180,37 @@ def test_integer_tables_match_fraction_recurrence():
         pmf = dict(enumerate(pmf_rows[k]))
         assert alpha(k) == alpha_from_pmf(pmf, k)
         assert golomb_dickman_estimate(k) == sum(Fraction(s, k) * p for s, p in pmf.items())
+
+
+# The j-sum recurrence that filled the cdf counts before the stepped one,
+# word for word, as their oracle.  It grows this module's own _counts and
+# shares cyclestats' list of factorials.
+_counts: list[list[int]] = [[1]]
+
+
+def _grow_exact(k: int) -> None:
+    """N_n(s) = sum_j n!/((n-sj)! j! s^j) * A_{n-sj}(s-1): choose the j
+    cycles of length s, then permute the rest with cycles shorter than s."""
+    _factorial(k)
+    for n in range(len(_counts), k + 1):
+        row = [0] * (n + 1)
+        for s in range(1, n + 1):
+            total = 0
+            ways = 1  # n!/((n-sj)! j! s^j), stepped in j
+            rest = n
+            cycle = _factorials[s - 1]  # (s-1)! cyclic orders of s chosen elements
+            for j in range(1, n // s + 1):
+                ways = ways * math.comb(rest, s) * cycle // j
+                rest -= s
+                total += ways * (_counts[rest][s - 1] if s - 1 <= rest else _factorials[rest])
+            row[s] = total
+        _counts.append(list(itertools.accumulate(row)))
+
+
+def test_cdf_counts_equal_j_sum_recurrence():
+    _grow_exact(RATIONAL_CAP)
+    longest_cycle_distribution(RATIONAL_CAP)
+    assert cyclestats._counts[: RATIONAL_CAP + 1] == _counts
 
 
 def test_pmf_normalization_rational():

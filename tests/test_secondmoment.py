@@ -7,17 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from incpaths import core
+from incpaths import core, secondmoment
 from incpaths.core import CapacityError, EdgeOrdering
 from incpaths.exact import count_increasing_ham_paths
-from incpaths.harness import ExperimentConfig, run
+from incpaths.harness import ExperimentConfig, main, run
 from incpaths.secondmoment import (
     CensusClass,
     MomentReport,
     ProfileSignature,
     _compositions_min2,
     _match_pair,
-    _split_term,
     classify_pair,
     constant_C_partial,
     embedding_bound,
@@ -329,6 +328,36 @@ def test_s_sum_small_c_ratio_approaches_one():
     assert abs(ratios[400] - 1) < abs(ratios[50] - 1)
 
 
+# The per-term split sum that s_sum_bounds ran before its terms were
+# stepped in k, word for word (_split_term and _split_k_factor are no
+# longer in the package), as oracles for secondmoment._split_sum.
+
+
+def _split_k_factor(c, k, n, fact):
+    """The factor of a split term that varies with k: 2^k C(c-1, k-1)
+    C(2m+k, k) (n-c-k)! with m = n-c-1."""
+    m = n - c - 1
+    return 2**k * math.comb(c - 1, k - 1) * math.comb(2 * m + k, k) * fact[n - c - k]
+
+
+def _split_term(c, k, n, fact):
+    """2^k C(c-1, k-1) multinomial(2(n-c-1)+k; ...) n!(n-c-k)!/(2n-c-2)!"""
+    m = n - c - 1
+    num = _split_k_factor(c, k, n, fact) * math.comb(2 * m, m) * fact[n]
+    return Fraction(num, fact[2 * n - c - 2])
+
+
+def _split_sum(c_range, n, fact, up):
+    """Sum of ``_split_term`` over c in c_range and 1 <= k <= min(c, n-c),
+    as an integer over (2n-2)!; factors free of k are applied once per c."""
+    total = 0
+    for c in c_range:
+        m = n - c - 1
+        inner = sum(_split_k_factor(c, k, n, fact) for k in range(1, min(c, n - c) + 1))
+        total += inner * math.comb(2 * m, m) * up[c]
+    return total * fact[n]
+
+
 def s_sum_fractions(n):
     """Oracle: the three split sums of s_sum_bounds(n), each term an exact
     Fraction over its own (2n-c-2)!, summed in Fractions."""
@@ -358,6 +387,33 @@ def s_sum_fractions(n):
 def test_s_sum_bounds_equal_fraction_sums(n):
     small, mid, tail = s_sum_fractions(n)
     assert s_sum_bounds(n) == (math.exp(-2) * float(small), float(mid), float(tail))
+
+
+@pytest.mark.parametrize("n", [10, 11, 57, 400])
+def test_split_sums_equal_per_term_binomials(n):
+    fact = [math.factorial(i) for i in range(2 * n)]
+    up = secondmoment._falling_to_common(n)
+    c_small = int(math.floor(math.log(n)))
+    c_mid = 9 * n // 10
+    mid_range, tail_range = range(c_small + 1, c_mid + 1), range(c_mid + 1, n)
+    mid = _split_sum(mid_range, n, fact, up)
+    tail = _split_sum(tail_range, n, fact, up)
+    assert secondmoment._split_sum(mid_range, n, fact, up) == mid
+    assert secondmoment._split_sum(tail_range, n, fact, up) == tail
+    common = fact[2 * n - 2]
+    assert s_sum_bounds(n)[1:] == (mid / common, tail / common)
+
+
+def _refuse(*args):
+    raise AssertionError("built a table before the capacity check")
+
+
+def test_s_sum_bounds_refuses_n_past_cap_before_building(monkeypatch):
+    monkeypatch.setattr(secondmoment, "_falling_to_common", _refuse)
+    n = secondmoment.BOUNDS_CAP + 1
+    with pytest.raises(CapacityError, match=f"n={n} exceeds cap"):
+        s_sum_bounds(n)
+    assert main(["bounds", "--n", str(n)]) == 3
 
 
 def test_s_sum_rejects_small_n():
@@ -394,6 +450,36 @@ def constant_C_fraction_sum(c_max):
 @pytest.mark.parametrize("c_max", [0, 1, 2, 5, 30, 80, 120])
 def test_constant_c_partial_equals_fraction_sum(c_max):
     assert constant_C_partial(c_max) == constant_C_fraction_sum(c_max)
+
+
+def constant_C_triple_loop(c_max: int) -> Fraction:
+    """The triple loop of binomials that constant_C_partial ran before the
+    segment-count rows, word for word: the oracle for its exact value."""
+    if c_max < 0:
+        raise ValueError(f"need c_max >= 0, got {c_max}")
+    # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max
+    up = [math.factorial(c_max) // math.factorial(k) for k in range(c_max + 1)]
+    total = 0
+    for c in range(c_max + 1):
+        for k in range(0, c + 1):
+            inner = 0
+            for ell in range(max(0, 2 * k - c), k + 1):
+                inner += math.comb(k, ell) * _compositions_min2(c - ell, k - ell) * 2**ell
+            total += inner * up[k] << (k + c_max - c)
+    return Fraction(total, up[0] << c_max)
+
+
+def test_constant_c_partial_equals_triple_loop():
+    for c_max in range(121):
+        assert constant_C_partial(c_max) == constant_C_triple_loop(c_max)
+
+
+def test_constant_c_refuses_c_max_past_cap_before_building(monkeypatch):
+    monkeypatch.setattr(secondmoment, "_segment_rows", _refuse)
+    c_max = secondmoment.CONSTANT_C_CAP + 1
+    with pytest.raises(CapacityError, match=f"c_max={c_max} exceeds cap"):
+        constant_C_partial(c_max)
+    assert main(["constant-c", "--k", str(c_max)]) == 3
 
 
 def test_constant_c_rejects_negative():
