@@ -19,11 +19,10 @@ From the tables come alpha_k = E[1/L_k + 1/(L_k+1) + ... + 1/k], the
 predicted path fraction 1 - exp(-1/alpha_k), and E[L_k/k] (whose limit
 is the Golomb-Dickman constant, about 0.6243).
 
-The exact cdf counts are memoized module-wide and grow a row at a time;
-a pmf row is the difference of its cdf row.  The float pmf table is not
-memoized: each call builds it at its own k, carrying one cdf column, and
-alpha_table builds it once at k_max.  Construction is single-threaded,
-reads are safe to share.
+Nothing is kept between calls: each call builds the count rows or the
+float pmf table it needs and frees them on return, and alpha_table builds
+once at k_max.  k! is read off the counts as A_k(k), and a pmf row is the
+difference of its cdf row.
 
 numpy is imported by the float path and the sampler only, so the exact
 tables run without it.
@@ -69,48 +68,52 @@ class CycleLengthTable:
 
 
 def _check_k(k: int, precision: str) -> None:
+    cap = {RATIONAL: RATIONAL_CAP, FLOAT: FLOAT_CAP}.get(precision)
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    if precision == RATIONAL:
-        if k > RATIONAL_CAP:
-            raise CapacityError(f"rational mode supports k <= {RATIONAL_CAP}, got {k}")
-    elif precision == FLOAT:
-        if k > FLOAT_CAP:
-            raise CapacityError(f"float mode supports k <= {FLOAT_CAP}, got {k}")
-    else:
+    if cap is None:
         raise ValueError(f"unknown precision {precision!r}")
+    if k > cap:
+        raise CapacityError(f"{precision} mode supports k <= {cap}, got {k}")
 
 
 # ---------------------------------------------------------------------------
-# exact tables as integer permutation counts, grown row by row on demand
+# exact tables as integer permutation counts, built row by row per call
 # ---------------------------------------------------------------------------
 
-# _counts[r][t]: permutations of r elements whose cycles all have length
-# at most t (t = 0..r)
-_counts: list[list[int]] = [[1]]
-_factorials: list[int] = [1]
 
-
-def _factorial(j: int) -> int:
-    while len(_factorials) <= j:
-        _factorials.append(_factorials[-1] * len(_factorials))
-    return _factorials[j]
-
-
-def _grow_exact(k: int) -> None:
-    """Rows n up to k of A_n(t) = n A_{n-1}(t) - (n-1)_t A_{n-1-t}(t), with
-    A_r(t) = r! for t >= r, A_n(0) = 0 for n >= 1 and A_n(n) = n!."""
-    _factorial(k)
-    for n in range(len(_counts), k + 1):
-        prev = _counts[n - 1]
+def _count_rows(k: int) -> list[list[int]]:
+    """Rows 0..k of A_n(t), the permutations of n elements with all cycles
+    at most t long (t = 0..n): A_n(t) = n A_{n-1}(t) - (n-1)_t A_{n-1-t}(t),
+    where A_r(t) = A_r(r) = r! for t >= r and A_n(0) = 0 for n >= 1."""
+    rows = [[1]]
+    for n in range(1, k + 1):
+        prev = rows[n - 1]
         row = [0] * (n + 1)
         falling = 1  # (n-1)_t
         for t in range(1, n):
             falling *= n - t
             rest = n - 1 - t
-            row[t] = n * prev[t] - falling * (_counts[rest][t] if t <= rest else _factorials[rest])
-        row[n] = _factorials[n]
-        _counts.append(row)
+            row[t] = n * prev[t] - falling * rows[rest][t if t <= rest else rest]
+        row[n] = n * prev[n - 1]
+        rows.append(row)
+    return rows
+
+
+def _exact_alpha(counts: list[int]) -> Fraction:
+    """alpha_k from count row k, summed by parts: sum_i Pr[L_k <= i] / i,
+    each term an integer over k! D with D = lcm(1..k)."""
+    k = len(counts) - 1
+    d = math.lcm(*range(1, k + 1))
+    total = sum(d // i * count for i, count in enumerate(counts[1:], 1))
+    return Fraction(total, counts[k] * d)
+
+
+def _exact_mean_ratio(counts: list[int]) -> Fraction:
+    """E[L_k / k] from count row k: E[L_k] = sum_{t<k} Pr[L_k > t]."""
+    k = len(counts) - 1
+    total = counts[k]
+    return Fraction(sum(total - count for count in counts[:k]), k * total)
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +130,12 @@ def _float_pmf(k: int) -> np.ndarray:
     P = np.zeros((k + 1, k + 1))
     below = np.zeros(k + 1)  # cdf column s-1 over n = 0..k
     below[0] = 1.0  # L_0 = 0
-    comp = np.empty(k + 1)
-    acc = np.empty(k + 1)
     contrib = np.empty(k + 1)
     for s in range(1, k + 1):
-        acc[:] = 0.0
-        comp[:] = 0.0
+        acc = np.zeros(k + 1)
+        comp = np.zeros(k + 1)
         for j in range(1, k // s + 1):
-            denom = _factorial(j) * s**j
+            denom = math.factorial(j) * s**j
             if denom > _MIN_DENOM:
                 break
             coef = 1.0 / denom
@@ -167,9 +168,9 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
     """Full pmf/cdf table of L_k."""
     _check_k(k, precision)
     if precision == RATIONAL:
-        _grow_exact(k)
-        cdf = [Fraction(count, _factorials[k]) for count in _counts[k]]
-        pmf = [b - a for a, b in itertools.pairwise([0, *cdf])]
+        counts = _count_rows(k)[k]
+        cdf = [Fraction(count, counts[k]) for count in counts]
+        pmf = [Fraction(b - a, counts[k]) for a, b in itertools.pairwise([0, *counts])]
     else:
         import numpy as np
 
@@ -183,12 +184,7 @@ def alpha(k: int, precision: str = RATIONAL):
     _check_k(k, precision)
     if precision == FLOAT:
         return _float_alpha(_float_pmf(k)[k])
-    # summed by parts, alpha_k = sum_i Pr[L_k <= i] / i; with D = lcm(1..k)
-    # every term is an integer over k! D
-    _grow_exact(k)
-    d = math.lcm(*range(1, k + 1))
-    total = sum(d // i * count for i, count in enumerate(_counts[k][1:], 1))
-    return Fraction(total, _factorials[k] * d)
+    return _exact_alpha(_count_rows(k)[k])
 
 
 def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
@@ -202,10 +198,7 @@ def golomb_dickman_estimate(k: int, precision: str = RATIONAL):
     _check_k(k, precision)
     if precision == FLOAT:
         return _float_mean_ratio(_float_pmf(k)[k])
-    # E[L_k] = sum_{t<k} Pr[L_k > t]
-    _grow_exact(k)
-    total = _factorials[k]
-    return Fraction(sum(total - count for count in _counts[k][:k]), k * total)
+    return _exact_mean_ratio(_count_rows(k)[k])
 
 
 def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:
@@ -267,11 +260,12 @@ def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
     _check_k(k_max, precision)
     if precision == FLOAT:
         P = _float_pmf(k_max)  # row k of the larger table equals a build at k
-        values = [(_float_alpha(P[k, : k + 1]), _float_mean_ratio(P[k, : k + 1]))
-                  for k in range(1, k_max + 1)]
+        rows = [P[k, : k + 1] for k in range(k_max + 1)]
+        row_alpha, row_mean = _float_alpha, _float_mean_ratio
     else:
-        values = [(float(alpha(k)), float(golomb_dickman_estimate(k)))
-                  for k in range(1, k_max + 1)]
+        rows = _count_rows(k_max)
+        row_alpha, row_mean = _exact_alpha, _exact_mean_ratio
+    values = [(float(row_alpha(rows[k])), float(row_mean(rows[k]))) for k in range(1, k_max + 1)]
     return [
         {"k": k, "alpha": a, "predicted_fraction": 1.0 - math.exp(-1.0 / a), "mean_ratio": g}
         for k, (a, g) in enumerate(values, 1)

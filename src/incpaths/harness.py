@@ -31,11 +31,11 @@ census        intersection-profile census (CSV export)
 bounds        split-sum values S1, S2, S3 at a given n
 constant-c    partial sums converging to e^3
 
-Exit codes: 0 success, 2 invalid arguments or an unwritable --out, 3
-capacity exceeded.  --threads (default 1) is the worker count; a run clamps
-it to the trial and CPU counts, and to 1 for a command that draws no ordering
-per trial (``cycles-mc`` too), and reports it in ``meta``.  --emit-raw,
-taken only with --trials, is echoed in ``config`` as ``"emit_raw": true``.
+Exit codes: 0 success, 2 invalid arguments, an unwritable --out or no
+numpy, 3 capacity exceeded.  --threads (default 1) is the worker count,
+clamped to the trial and CPU counts, and to 1 for a command that draws no
+ordering per trial (``cycles-mc`` too), and reported in ``meta``.
+--emit-raw (only with --trials) is echoed in ``config`` as ``"emit_raw": true``.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ def _prng_name() -> str:
     ordering and sample draws from.  The version is the ``version = "..."``
     line of numpy/version.py, read without importing numpy; the package
     metadata, slower to load, is the fallback when that read fails."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ValueError("numpy is not installed (the report's prng names its version)")
     try:
-        package_dir = importlib.util.find_spec("numpy").submodule_search_locations[0]
-        with open(os.path.join(package_dir, "version.py")) as f:
+        with open(os.path.join(spec.submodule_search_locations[0], "version.py")) as f:
             version = re.search(r'^version = "([^"]+)"$', f.read(), re.M).group(1)
     except (AttributeError, OSError, TypeError):
         from importlib.metadata import version as dist_version
@@ -371,12 +373,17 @@ def _cmd_constant_c(params, threads):
     c_max = params["k"]
     partial_sum = secondmoment.constant_C_partial(c_max)
     e_cubed = math.exp(3)
+    # from c_max = 1559 the numerator passes CPython's 4300-digit str limit (3.10.7 on)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        numerator, denominator = str(partial_sum.numerator), str(partial_sum.denominator)
+    finally:
+        set_limit(limit)
     return {
         "c_max": c_max,
-        "partial_sum": {
-            "numerator": str(partial_sum.numerator),
-            "denominator": str(partial_sum.denominator),
-        },
+        "partial_sum": {"numerator": numerator, "denominator": denominator},
         "partial_sum_float": float(partial_sum),
         "e_cubed": e_cubed,
         "abs_error": abs(float(partial_sum) - e_cubed),
@@ -456,6 +463,7 @@ def run(config: ExperimentConfig) -> Report:
     params = config.resolved()
     if config.threads < 1:
         raise ValueError(f"need threads >= 1, got {config.threads}")
+    prng = _prng_name()
     layers = _layers(params)
     # a fork pool starts all its workers at once: no more than trials or CPUs,
     # and none for a command that draws no ordering (``core``) per trial
@@ -470,6 +478,7 @@ def run(config: ExperimentConfig) -> Report:
     report = Report(
         config=params,
         results=results,
+        prng=prng,
         meta={"duration_seconds": time.time() - start, "threads": threads,
               "peak_rss_mb": _peak_rss_mb()},
     )

@@ -321,12 +321,7 @@ def _segment_rows(c_max):
     for _ in range(c_max + 1):
         yield row
         # times 2x + x^2/(1-x): next[c] = 2 row[c-1] + row[0] + ... + row[c-2]
-        below = 0
-        nxt = [0] * (c_max + 1)
-        for c in range(1, c_max + 1):
-            nxt[c] = 2 * row[c - 1] + below
-            below += row[c - 1]
-        row = nxt
+        row = [0, *(2 * x + below for x, below in zip(row[:-1], accumulate(row, initial=0)))]
 
 
 def constant_C_partial(c_max: int) -> Fraction:

@@ -24,6 +24,7 @@ from incpaths.exact import count_increasing_ham_paths
 from incpaths.harness import ExperimentConfig, run
 from incpaths.kgreedy import EXHAUST, k_greedy_path
 from incpaths.walks import greedy_path, pedestrian_walks, refusal_paths
+from test_secondmoment import _split_term  # one split term, as an exact Fraction
 
 SEED = 20250810
 
@@ -280,24 +281,6 @@ def _log_fraction(q):
     else:
         mantissa = q.numerator // (q.denominator << -shift)
     return math.log(mantissa) - shift * math.log(2)
-
-
-# s_sum_bounds' split terms one at a time, as the package computed them
-# before it stepped them in k, word for word
-
-
-def _split_k_factor(c, k, n, fact):
-    """The factor of a split term that varies with k: 2^k C(c-1, k-1)
-    C(2m+k, k) (n-c-k)! with m = n-c-1."""
-    m = n - c - 1
-    return 2**k * math.comb(c - 1, k - 1) * math.comb(2 * m + k, k) * fact[n - c - k]
-
-
-def _split_term(c, k, n, fact):
-    """2^k C(c-1, k-1) multinomial(2(n-c-1)+k; ...) n!(n-c-k)!/(2n-c-2)!"""
-    m = n - c - 1
-    num = _split_k_factor(c, k, n, fact) * math.comb(2 * m, m) * fact[n]
-    return Fraction(num, fact[2 * n - c - 2])
 
 
 class _Factorials:

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,6 @@ from incpaths.core import CapacityError
 from incpaths.cyclestats import (
     _CHUNK_SEATS,
     _MIN_DENOM,
-    _factorial,
-    _factorials,
     FLOAT,
     FLOAT_CAP,
     RATIONAL,
@@ -183,34 +185,51 @@ def test_integer_tables_match_fraction_recurrence():
 
 
 # The j-sum recurrence that filled the cdf counts before the stepped one,
-# word for word, as their oracle.  It grows this module's own _counts and
-# shares cyclestats' list of factorials.
-_counts: list[list[int]] = [[1]]
-
-
-def _grow_exact(k: int) -> None:
+# as their oracle, with its factorials from math.factorial.
+def _j_sum_rows(k: int) -> list[list[int]]:
     """N_n(s) = sum_j n!/((n-sj)! j! s^j) * A_{n-sj}(s-1): choose the j
     cycles of length s, then permute the rest with cycles shorter than s."""
-    _factorial(k)
-    for n in range(len(_counts), k + 1):
+    counts = [[1]]
+    for n in range(1, k + 1):
         row = [0] * (n + 1)
         for s in range(1, n + 1):
             total = 0
             ways = 1  # n!/((n-sj)! j! s^j), stepped in j
             rest = n
-            cycle = _factorials[s - 1]  # (s-1)! cyclic orders of s chosen elements
+            cycle = math.factorial(s - 1)  # (s-1)! cyclic orders of s chosen elements
             for j in range(1, n // s + 1):
                 ways = ways * math.comb(rest, s) * cycle // j
                 rest -= s
-                total += ways * (_counts[rest][s - 1] if s - 1 <= rest else _factorials[rest])
+                total += ways * (counts[rest][s - 1] if s - 1 <= rest else math.factorial(rest))
             row[s] = total
-        _counts.append(list(itertools.accumulate(row)))
+        counts.append(list(itertools.accumulate(row)))
+    return counts
 
 
 def test_cdf_counts_equal_j_sum_recurrence():
-    _grow_exact(RATIONAL_CAP)
-    longest_cycle_distribution(RATIONAL_CAP)
-    assert cyclestats._counts[: RATIONAL_CAP + 1] == _counts
+    assert cyclestats._count_rows(RATIONAL_CAP) == _j_sum_rows(RATIONAL_CAP)
+
+
+# bytes still traced once alpha_table(200) and longest_cycle_distribution(200)
+# have returned and their results are dropped
+_TRACED_CALLS = """
+import tracemalloc
+from incpaths.cyclestats import alpha_table, longest_cycle_distribution
+tracemalloc.start()
+alpha_table(200)
+longest_cycle_distribution(200)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_exact_calls_keep_no_table():
+    # a fresh interpreter, so that nothing an earlier test built is in the
+    # way; the module-wide memo this replaced held 2.6 MiB after these calls
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _TRACED_CALLS], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert int(child.stdout) < 256 * 2**10
 
 
 def test_pmf_normalization_rational():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy
@@ -173,6 +174,25 @@ def test_bounds_command():
 def test_constant_c_command():
     report = run(ExperimentConfig(command="constant-c", k=40))
     assert report.results["abs_error"] < 1e-3
+
+
+def test_constant_c_prints_numerators_past_the_int_str_limit(capsys):
+    # from c_max = 1559 on the numerator has more than 4300 digits, CPython's
+    # default limit for int-to-str conversion (3.10.7 on)
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    limit = get_limit()
+    assert main(["constant-c", "--k", "1559"]) == 0
+    assert get_limit() == limit
+    results = json.loads(capsys.readouterr().out)["results"]
+    printed = results["partial_sum"]
+    assert len(printed["numerator"]) > 4300
+    set_limit(0)  # int() of more than 4300 digits is limited too
+    try:
+        partial_sum = Fraction(int(printed["numerator"]), int(printed["denominator"]))
+    finally:
+        set_limit(limit)
+    assert float(partial_sum) == results["partial_sum_float"]
 
 
 def test_worstcase_command_deterministic():
@@ -389,6 +409,18 @@ def test_each_command_imports_only_its_layers(argv, uses_numpy):
     if not uses_numpy:
         # the prng version is read from numpy/version.py, not the slow metadata
         assert not metadata
+
+
+def test_missing_numpy_exits_2_with_one_error_line():
+    # -S leaves site-packages, and with it numpy, off the path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run([sys.executable, "-S", "-m", "incpaths", "constant-c", "--k", "3"],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr.startswith("error: numpy is not installed")
+    assert child.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -330,7 +330,8 @@ def test_s_sum_small_c_ratio_approaches_one():
 
 # The per-term split sum that s_sum_bounds ran before its terms were
 # stepped in k, word for word (_split_term and _split_k_factor are no
-# longer in the package), as oracles for secondmoment._split_sum.
+# longer in the package), as oracles for secondmoment._split_sum;
+# test_acceptance.py checks its log-space terms against _split_term.
 
 
 def _split_k_factor(c, k, n, fact):
