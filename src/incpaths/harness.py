@@ -208,13 +208,8 @@ def _series(values, emit_raw: bool) -> dict:
 def _walk_lengths(ordering, params=None):
     """(longest pedestrian walk, total pedestrian steps, longest refusal
     path), all in edges."""
-    pedestrian = walks.pedestrian_walks(ordering)
-    refusals = walks.refusal_paths(ordering)
-    return (
-        max(len(w) - 1 for w in pedestrian),
-        sum(len(w) - 1 for w in pedestrian),
-        max(len(p) - 1 for p in refusals),
-    )
+    steps, lengths = walks.walk_lengths(ordering)
+    return max(steps), sum(steps), max(lengths)
 
 
 def _greedy_fraction(ordering, params):

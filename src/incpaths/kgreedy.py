@@ -15,7 +15,9 @@ vertex can be committed, so this module merges the tree vertices' sorted
 candidate rows with a heap instead of visiting all m edges:
 
 * when a vertex first joins the tree, its row is gathered from the labels
-  and the vertices off the path with a label above tau are sorted once;
+  and the vertices off the path with a label above tau are sorted once,
+  stored in the narrowest unsigned type that holds n - 1 (uint8 up to
+  n = 256, uint16 up to the ordering cap);
   when it rejoins after its subtree was discarded, tau is found in that
   sorted row by binary search;
 * the heap holds each tree vertex's next candidate as (label, vertex,
@@ -110,6 +112,7 @@ def k_greedy_path(
     # rows[x]: (labels, targets) of x's candidates in ascending label order,
     # the vertices off the path with a label above tau at x's first join
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    target_type = np.min_scalar_type(n - 1)
     pos = [0] * n  # index of x's queued candidate in rows[x]
     heap: list[tuple[float, int, int]] = []
 
@@ -152,7 +155,7 @@ def k_greedy_path(
         keep = row > tau
         keep[x] = False
         keep &= ~on_path_mask
-        targets = np.flatnonzero(keep)
+        targets = np.flatnonzero(keep).astype(target_type)
         targets = targets[np.argsort(row[targets])]
         rows[x] = (row[targets], targets)
         queue_from(x, 0)

@@ -6,6 +6,12 @@ increasing walk, and the longest one has at least n-1 edges.  The refusal
 variant skips a swap whenever either pedestrian would revisit a vertex,
 which keeps all trajectories simple at the cost of a weaker sqrt(n-1)
 guarantee.
+
+``walk_lengths`` runs both processes in one pass over the edges and keeps
+only their lengths: the CLI's walk measures use it, with O(n^2) bytes of
+state (one visited flag per pedestrian and vertex).  ``pedestrian_walks``
+and ``refusal_paths`` build the n full trajectories, n(n-1) vertex entries
+in all, for inspection.
 """
 
 from __future__ import annotations
@@ -60,6 +66,34 @@ def refusal_paths(ordering: EdgeOrdering) -> list[list[int]]:
         visited[b].add(u)
         who[u], who[v] = b, a
     return walks
+
+
+def walk_lengths(ordering: EdgeOrdering) -> tuple[list[int], list[int]]:
+    """(pedestrian step counts, refusal path lengths), each indexed by start
+    vertex and in edges: the trajectory lengths of ``pedestrian_walks`` and
+    ``refusal_paths``, from one pass that builds no trajectory."""
+    n = ordering.n
+    steps = [0] * n
+    lengths = [0] * n
+    who = list(range(n))  # who[x] = pedestrian at x in the pedestrian process
+    held = list(range(n))  # held[x] = pedestrian at x under the refusal rule
+    visited = bytearray(n * n)  # visited[p * n + x]: refusal pedestrian p was at x
+    visited[:: n + 1] = b"\x01" * n  # pedestrian p starts at p
+    us, vs = ordering.edges_by_label
+    for u, v in zip(memoryview(us.astype(np.uint16)), memoryview(vs.astype(np.uint16))):
+        a, b = who[u], who[v]
+        steps[a] += 1
+        steps[b] += 1
+        who[u], who[v] = b, a
+        a, b = held[u], held[v]
+        av, bu = a * n + v, b * n + u
+        if visited[av] or visited[bu]:
+            continue
+        visited[av] = visited[bu] = 1
+        lengths[a] += 1
+        lengths[b] += 1
+        held[u], held[v] = b, a
+    return steps, lengths
 
 
 def greedy_path(ordering: EdgeOrdering, v0: int = 0) -> list[int]:

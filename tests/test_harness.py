@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy
 import pytest
 
-from incpaths import CapacityError, cyclestats, harness
+from incpaths import CapacityError, core, cyclestats, harness, walks
 from incpaths.cyclestats import FLOAT_CAP, alpha_table
 from incpaths.harness import (
     ExperimentConfig,
@@ -193,6 +194,35 @@ def test_constant_c_prints_numerators_past_the_int_str_limit(capsys):
     finally:
         set_limit(limit)
     assert float(partial_sum) == results["partial_sum_float"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(command="walks-demo", n=20, trials=5, seed=5), dict(command="worstcase", n=8)],
+    ids=["walks-demo", "worstcase"],
+)
+def test_walk_commands_build_no_trajectories(config, monkeypatch):
+    def refuse(ordering):
+        raise AssertionError("the CLI measures walk lengths without trajectories")
+
+    monkeypatch.setattr(walks, "pedestrian_walks", refuse)
+    monkeypatch.setattr(walks, "refusal_paths", refuse)
+    assert "refusal_max_length" in run(ExperimentConfig(**config)).results
+
+
+def test_walk_lengths_trace_little_memory():
+    # the n(n-1) trajectory entries and n visited sets of the trajectory
+    # functions traced 9.9 MiB here; the lengths pass keeps O(n^2) bytes
+    harness._import_layers(("core", "walks"))
+    ordering = core.random_ordering(400, 0)
+    ordering.edges_by_label  # the sort every walk measure shares
+    tracemalloc.start()
+    try:
+        harness._walk_lengths(ordering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_worstcase_command_deterministic():

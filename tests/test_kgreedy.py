@@ -206,10 +206,11 @@ def assert_same_run_as_scan(ordering, v0, k, mode):
 
 
 @pytest.mark.parametrize("model", core.MODELS)
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 15, 60, 250])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 15, 60, 250, 256, 257])
 def test_matches_scan_reference(n, model):
     # 5 look-aheads x 2 modes x 5 seeds with varied start vertices per
-    # (n, model): 700 runs over the whole grid
+    # (n, model): 900 runs over the whole grid; 256 and 257 straddle the
+    # uint8/uint16 boundary of the stored row targets
     for k in (1, 2, 3, 7, 25):
         for mode in MODES:
             for seed in range(5):

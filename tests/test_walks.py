@@ -14,7 +14,7 @@ from incpaths.core import (
     random_ordering,
     to_permutation_model,
 )
-from incpaths.walks import greedy_path, jumps, pedestrian_walks, refusal_paths
+from incpaths.walks import greedy_path, jumps, pedestrian_walks, refusal_paths, walk_lengths
 
 TELESCOPE_TOL = 2.0**-40
 
@@ -136,6 +136,30 @@ def test_refusal_each_edge_classified_once():
         assert all(times == 2 for times in traversed.values())
         assert sum(len(w) - 1 for w in walks) == 2 * len(traversed)
         assert len(traversed) <= core.num_edges(n)
+
+
+def trajectory_lengths(ordering):
+    """Reference for walk_lengths: the lengths of the full trajectories."""
+    return (
+        [len(w) - 1 for w in pedestrian_walks(ordering)],
+        [len(p) - 1 for p in refusal_paths(ordering)],
+    )
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 30, 61])
+def test_walk_lengths_match_trajectories(n, model):
+    for seed in range(5):
+        ordering = random_ordering(n, seed, model)
+        assert walk_lengths(ordering) == trajectory_lengths(ordering)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 30, 64])
+def test_walk_lengths_match_trajectories_on_matching_ordering(n):
+    ordering = matching_ordering(n)
+    steps, lengths = walk_lengths(ordering)
+    assert (steps, lengths) == trajectory_lengths(ordering)
+    assert max(steps) == n - 1
 
 
 def test_greedy_n2():
