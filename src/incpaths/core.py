@@ -19,7 +19,8 @@ from . import PERMUTATION, REAL, CapacityError
 
 MODELS = (PERMUTATION, REAL)
 
-#: Largest n for which an ordering is built (about 5e7 labels, 400 MB).
+#: Largest n for which an ordering is built: about 5e7 labels, 429 MiB to
+#: build by the memory model in ``_check_size``.
 ORDERING_CAP = 10_000
 
 
@@ -63,8 +64,8 @@ def edge_endpoints(index: int, n: int) -> tuple[int, int]:
 def all_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (us, vs) for all edges in edge_index order."""
     us, vs = np.triu_indices(n, k=1)
-    us = us.astype(np.int64)
-    vs = vs.astype(np.int64)
+    us = us.astype(np.int64, copy=False)
+    vs = vs.astype(np.int64, copy=False)
     us.setflags(write=False)
     vs.setflags(write=False)
     return us, vs
@@ -89,6 +90,15 @@ def _is_one_to_m(labels: np.ndarray, m: int) -> bool:
     return bool(seen[1:].all())
 
 
+def _check_real(ranked: np.ndarray) -> None:
+    """Raise ValueError unless the ascending real labels ``ranked`` lie
+    strictly inside (0,1) and are pairwise distinct."""
+    if not (ranked[0] > 0 and ranked[-1] < 1):  # NaN sorts last
+        raise ValueError("real labels must lie strictly inside (0,1)")
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise ValueError("tied real labels")
+
+
 @dataclass(frozen=True)
 class EdgeOrdering:
     """An edge ordering of K_n.
@@ -100,7 +110,10 @@ class EdgeOrdering:
 
     Construction rejects permutation labels that are not exactly 1..m, and
     real labels that are tied or lie outside the open interval (0,1), NaN
-    included; the real check is one sort of all m labels.
+    included.  The permutation check is one m-byte presence mask; the real
+    check sorts a copy of the labels, leaving the caller's array as it is.
+    ``random_ordering`` checks its real draw itself, sorted in place, and
+    builds the ordering through ``_unchecked``.
     """
 
     n: int
@@ -119,12 +132,17 @@ class EdgeOrdering:
             if not _is_one_to_m(self.labels, m):
                 raise ValueError(f"permutation labels must be exactly the integers 1..{m}")
         else:
-            ranked = np.sort(self.labels)  # NaN sorts last
-            if not (ranked[0] > 0 and ranked[-1] < 1):
-                raise ValueError("real labels must lie strictly inside (0,1)")
-            if np.any(ranked[1:] == ranked[:-1]):
-                raise ValueError("tied real labels")
+            _check_real(np.sort(self.labels))
         self.labels.setflags(write=False)
+
+    @classmethod
+    def _unchecked(cls, n: int, model: str, labels: np.ndarray) -> EdgeOrdering:
+        """An ordering of labels its caller has already checked, built
+        without ``__post_init__``.  Only ``random_ordering`` calls it."""
+        ordering = object.__new__(cls)
+        ordering.__dict__.update(n=n, model=model, labels=labels)
+        labels.setflags(write=False)
+        return ordering
 
     def label(self, u: int, v: int):
         """Label of edge {u, v} (int for permutation model, float for real)."""
@@ -197,25 +215,46 @@ def _check_size(n: int, model: str) -> None:
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if n > ORDERING_CAP:
-        raise CapacityError(f"orderings support n <= {ORDERING_CAP}, got n={n}")
+        # one 8-byte label per edge and an m-byte check mask: 9m bytes, for
+        # either model.  Calibrated on the max RSS rise of one random_ordering
+        # at n = 2000, 4000 and 8000: 17.2, 68.7 and 274.7 MiB permutation,
+        # 17.3, 68.8 and 274.9 MiB real, against 17.2, 68.6 and 274.6 here.
+        mem = 9 * num_edges(n)
+        raise CapacityError(
+            f"orderings support n <= {ORDERING_CAP}, got n={n}; an ordering at "
+            f"n={n} needs about {mem / 2**20:.0f} MiB to build"
+        )
     if model not in MODELS:
         raise ValueError(f"unknown label model {model!r}")
 
 
 def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering:
-    """Uniformly random edge ordering, deterministic given (n, seed, model)."""
+    """Uniformly random edge ordering, deterministic given (n, seed, model).
+
+    Each draw is checked for range and ties before it is used, and the
+    build holds one m-sized label array, plus an m-byte mask, at a time.  A
+    permutation draw is shifted to 1..m in place and checked by the
+    constructor.  A real draw is sorted in place and checked, then released
+    and drawn again from the same seed, in edge order, for the ordering to
+    keep; a draw with a zero or a tie is detied and checked by the
+    constructor instead.
+    """
     _check_size(n, model)
-    rng = np.random.default_rng(seed)
     m = num_edges(n)
     if model == PERMUTATION:
-        labels = rng.permutation(m).astype(np.int64) + 1
-    else:
-        labels = rng.random(m)
-        try:
-            return EdgeOrdering(n=n, model=model, labels=labels)
-        except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
-            labels = _detie_real(labels)
-    return EdgeOrdering(n=n, model=model, labels=labels)
+        labels = np.random.default_rng(seed).permutation(m).astype(np.int64, copy=False)
+        labels += 1
+        return EdgeOrdering(n=n, model=model, labels=labels)
+    ranked = np.random.default_rng(seed).random(m)
+    ranked.sort()
+    try:
+        _check_real(ranked)
+    except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
+        del ranked
+        labels = _detie_real(np.random.default_rng(seed).random(m))
+        return EdgeOrdering(n=n, model=model, labels=labels)
+    del ranked
+    return EdgeOrdering._unchecked(n, model, np.random.default_rng(seed).random(m))
 
 
 def matching_ordering(n: int) -> EdgeOrdering:

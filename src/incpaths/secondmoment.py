@@ -313,15 +313,18 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
 
 
 def _segment_rows(c_max):
-    """Rows inner(., k) for k = 0..c_max, each over c = 0..c_max, where
+    """Row tails inner(., k) for k = 0..c_max, each over c = k..c_max, where
     inner(c, k) = sum_ell C(k, ell) #comps(c-ell, k-ell) 2^ell =
     [x^c] (2x + x^2/(1-x))^k counts the ways to lay k segments over c
-    shared edges, each a single edge (2 orientations) or a run of >= 2."""
-    row = [1] + [0] * c_max
+    shared edges, each a single edge (2 orientations) or a run of >= 2.
+    k segments cover at least k edges, so the entries for c < k, all
+    zero, are never built."""
+    tail = [1] + [0] * c_max
     for _ in range(c_max + 1):
-        yield row
-        # times 2x + x^2/(1-x): next[c] = 2 row[c-1] + row[0] + ... + row[c-2]
-        row = [0, *(2 * x + below for x, below in zip(row[:-1], accumulate(row, initial=0)))]
+        yield tail
+        # times 2x + x^2/(1-x): next[c] = 2 row[c-1] + row[k] + ... + row[c-2]
+        # for c = k+1..c_max, one entry shorter
+        tail = [2 * x + below for x, below in zip(tail[:-1], accumulate(tail, initial=0))]
 
 
 def constant_C_partial(c_max: int) -> Fraction:
@@ -331,10 +334,11 @@ def constant_C_partial(c_max: int) -> Fraction:
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
     if c_max > CONSTANT_C_CAP:
-        # two rows of segment counts, the largest of them near k = c_max/3:
-        # 0.21 c_max^2 bytes.  Calibrated on the max RSS rise over the bare
-        # interpreter for constant-c at c_max = 2000, 4000 and 8000: 1.0,
-        # 3.7 and 12.7 MiB, against 0.8, 3.2 and 12.8 MiB here.
+        # two row tails of segment counts, the largest of them near
+        # k = c_max/3: 0.21 c_max^2 bytes.  Calibrated on the max RSS rise
+        # over constant-c at c_max = 1 for constant-c at c_max = 2000, 4000
+        # and 8000: 0.82, 3.68 and 12.75 MiB, against 0.80, 3.20 and 12.82
+        # MiB here.
         mem = 0.21 * c_max * c_max
         raise CapacityError(
             f"c_max={c_max} exceeds cap {CONSTANT_C_CAP}; raising the cap needs "
@@ -343,8 +347,8 @@ def constant_C_partial(c_max: int) -> Fraction:
     # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max, by
     # Horner's rule in k: total_k = k total_{k-1} + 2^k sum_c inner 2^(c_max-c)
     total = 0
-    for k, row in enumerate(_segment_rows(c_max)):
-        total = total * k + (sum(x << (c_max - c) for c, x in enumerate(row)) << k)
+    for k, tail in enumerate(_segment_rows(c_max)):
+        total = total * k + (sum(x << (c_max - c) for c, x in enumerate(tail, k)) << k)
     return Fraction(total, math.factorial(c_max) << c_max)
 
 

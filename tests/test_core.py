@@ -1,6 +1,7 @@
 """Tests for incpaths.core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,60 @@ def test_random_real_labels_are_the_detied_draw(monkeypatch):
     monkeypatch.setattr(core.np.random, "default_rng", lambda seed: TiedRng())
     labels = random_ordering(3, 0, core.REAL).labels
     assert np.array_equal(labels, core._detie_real(TiedRng().random(3)))
+
+
+def _seeded_draw(n, seed, model):
+    """The labels of random_ordering(n, seed, model), drawn plainly."""
+    rng = np.random.default_rng(seed)
+    if model == core.PERMUTATION:
+        return rng.permutation(num_edges(n)).astype(np.int64) + 1
+    return rng.random(num_edges(n))
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 400])
+def test_random_ordering_labels_are_the_seeded_draw(n, model):
+    for seed in range(5):
+        ordering = random_ordering(n, seed, model)
+        expected = _seeded_draw(n, seed, model)
+        assert ordering.labels.dtype == expected.dtype
+        assert np.array_equal(ordering.labels, expected)
+        # the same as an ordering whose labels the constructor checked
+        checked = EdgeOrdering(n=n, model=model, labels=expected)
+        assert not ordering.labels.flags.writeable
+        for v in range(n):
+            assert np.array_equal(ordering.row(v), checked.row(v))
+        for ours, theirs in zip(ordering.edges_by_label, checked.edges_by_label):
+            assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+def test_random_ordering_holds_one_label_array(model):
+    random_ordering(3, 0, model)  # first-call setup is not the build's
+    n = 1000
+    tracemalloc.start()
+    try:
+        random_ordering(n, 1, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the labels plus an m-byte mask; a second m-sized array would be 2x
+    assert peak < 1.25 * 8 * num_edges(n)
+
+
+@pytest.mark.parametrize("draw", [
+    [0.5, 0.0, 0.25],  # a zero
+    [0.5, 0.25, 0.5],  # a tie
+    [0.5, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],  # a tie at the top double
+])
+def test_random_real_detie_each_fault(monkeypatch, draw):
+    class FaultyRng:
+        def random(self, m):
+            return np.array(draw)
+
+    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: FaultyRng())
+    labels = random_ordering(3, 0, core.REAL).labels
+    assert np.array_equal(labels, core._detie_real(np.array(draw)))
 
 
 def test_detie_breaks_exact_ties_upward():
