@@ -62,10 +62,13 @@ def edge_endpoints(index: int, n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=8)
 def all_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (us, vs) for all edges in edge_index order."""
+    """Endpoint arrays (us, vs) for all edges in edge_index order, in the
+    narrowest unsigned type that holds n - 1 (uint8 up to n = 256, uint16
+    up to ``ORDERING_CAP``)."""
+    endpoint_type = np.min_scalar_type(n - 1)
     us, vs = np.triu_indices(n, k=1)
-    us = us.astype(np.int64, copy=False)
-    vs = vs.astype(np.int64, copy=False)
+    us = us.astype(endpoint_type)
+    vs = vs.astype(endpoint_type)
     us.setflags(write=False)
     vs.setflags(write=False)
     return us, vs
@@ -174,7 +177,8 @@ class EdgeOrdering:
 
     @cached_property
     def edges_by_label(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (us, vs) of all edges sorted by ascending label."""
+        """Endpoint arrays (us, vs) of all edges sorted by ascending label,
+        in the narrow type of ``all_edges``."""
         if self.model == PERMUTATION:
             # labels are exactly 1..m, so the sort is an inverse permutation
             order = np.empty(len(self.labels), dtype=np.int64)

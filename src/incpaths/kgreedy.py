@@ -15,18 +15,24 @@ vertex can be committed, so this module merges the tree vertices' sorted
 candidate rows with a heap instead of visiting all m edges:
 
 * when a vertex first joins the tree, its row is gathered from the labels
-  and the vertices off the path with a label above tau are sorted once,
-  stored in the narrowest unsigned type that holds n - 1 (uint8 up to
-  n = 256, uint16 up to the ordering cap);
-  when it rejoins after its subtree was discarded, tau is found in that
-  sorted row by binary search;
+  and the vertices off the path with a label above tau are sorted once.
+  The row keeps two ``array.array`` columns, indexed without building
+  numpy scalars: the targets, in the narrowest unsigned type that holds
+  n - 1 (uint8 up to n = 256, uint16 up to the ordering cap), and a uint16
+  key per target, floor(label * 2^16 / s) with s = 1 for real labels and
+  m + 1 for permutation labels, which is monotone in the label.  An entry
+  takes 3 or 4 bytes, not the 9 or 10 a float64 label would need;
+  when the vertex rejoins after its subtree was discarded, tau's position
+  in the row is found by bisecting the keys, then among the entries whose
+  key equals tau's (usually the committed edge's own) by their exact labels;
 * the heap holds each tree vertex's next candidate as (label, vertex,
-  row index).  Targets on the path are skipped as soon as they are
-  reached (path membership is permanent); targets in the tree are checked
-  only when popped, because a discarded subtree makes its vertices
-  eligible again.  A popped entry is skipped unless its vertex is in the
-  tree with that row index queued; one left from an earlier stay that
-  passes this equals the current entry.
+  row index), with the exact label read from the ordering as it is
+  pushed, so commits, ties and tau are exact.  Targets on the path are
+  skipped as soon as they are reached (path membership is permanent);
+  targets in the tree are checked only when popped, because a discarded
+  subtree makes its vertices eligible again.  A popped entry is skipped
+  unless its vertex is in the tree with that row index queued; one left
+  from an earlier stay that passes this equals the current entry.
 
 A run costs one row sort per distinct joined vertex plus O(log n) per
 commit and per skipped candidate.
@@ -47,12 +53,14 @@ making runs fully deterministic.
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import EXHAUST, STRICT
-from .core import EdgeOrdering
+from .core import PERMUTATION, EdgeOrdering, _row_offsets, num_edges
 
 MODES = (STRICT, EXHAUST)
 
@@ -87,6 +95,12 @@ def _subtree_vertices(root_child, children):
     return vertices
 
 
+def _packed(values: np.ndarray) -> array:
+    """``values`` as an ``array.array`` of the same unsigned type, allocated
+    to size: one filled from bytes keeps 1/16 spare, its slice none."""
+    return array(values.dtype.char, values.tobytes())[:]
+
+
 def k_greedy_path(
     ordering: EdgeOrdering, v0: int = 0, k: int = 1, mode: str = EXHAUST
 ) -> tuple[list[int], KGreedyTrace]:
@@ -109,12 +123,19 @@ def k_greedy_path(
     on_path = bytearray(n)
     on_path[v0] = True
     on_path_mask = np.frombuffer(on_path, dtype=bool)  # live view of on_path
-    # rows[x]: (labels, targets) of x's candidates in ascending label order,
-    # the vertices off the path with a label above tau at x's first join
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # rows[x]: (keys, targets) of x's candidates in ascending label order,
+    # the vertices off the path with a label above tau at x's first join;
+    # keys[i] is floor(label * key_scale), monotone in the label
+    rows: dict[int, tuple[array, array]] = {}
     target_type = np.min_scalar_type(n - 1)
+    key_scale = 2.0**16 / (num_edges(n) + 1 if ordering.model == PERMUTATION else 1)
+    labels = ordering.labels
+    if not (labels.dtype.isnative and labels.dtype.char in "bBhHiIlLqQfd"):
+        labels = labels.astype(np.float64)  # a dtype memoryview cannot index
+    labels = memoryview(labels)  # indexed at half the cost of ndarray.item
+    offsets = _row_offsets(n).tolist()
     pos = [0] * n  # index of x's queued candidate in rows[x]
-    heap: list[tuple[float, int, int]] = []
+    heap: list[tuple[float | int, int, int]] = []
 
     tau = 0.0
     tau_prev = 0.0
@@ -139,25 +160,40 @@ def k_greedy_path(
 
     def queue_from(x, p):
         """Queue x's first candidate at index p or later that is off the path."""
-        labels, targets = rows[x]
+        targets = rows[x][1]
         size = len(targets)
-        while p < size and on_path[targets.item(p)]:
+        while p < size and on_path[targets[p]]:
             p += 1
         pos[x] = p
         if p < size:
-            heapq.heappush(heap, (labels.item(p), x, p))
+            t = targets[p]
+            edge = offsets[x] + t if x < t else offsets[t] + x
+            heapq.heappush(heap, (labels[edge], x, p))
 
     def join(x):
         if x in rows:
-            queue_from(x, int(rows[x][0].searchsorted(tau, side="right")))
+            keys, targets = rows[x]
+            key = int(tau * key_scale)  # truncated, as the rows' keys were
+            p = bisect_left(keys, key)
+            size = len(keys)
+            # keys below tau's hold labels below tau; equal keys need the labels
+            while p < size and keys[p] == key:
+                t = targets[p]
+                edge = offsets[x] + t if x < t else offsets[t] + x
+                if labels[edge] > tau:
+                    break
+                p += 1
+            queue_from(x, p)
             return
         row = ordering.row(x)
         keep = row > tau
         keep[x] = False
         keep &= ~on_path_mask
         targets = np.flatnonzero(keep).astype(target_type)
-        targets = targets[np.argsort(row[targets])]
-        rows[x] = (row[targets], targets)
+        row = row[targets]
+        order = np.argsort(row)
+        keys = (row[order] * key_scale).astype(np.uint16)
+        rows[x] = (_packed(keys), _packed(targets[order]))
         queue_from(x, 0)
 
     join(v0)
@@ -165,7 +201,7 @@ def k_greedy_path(
         label, attach, p = heapq.heappop(heap)
         if attach not in children or p != pos[attach]:
             continue  # attach left the tree, or moved on, after this entry was queued
-        child = rows[attach][1].item(p)
+        child = rows[attach][1][p]
         if on_path[child] or child in children:
             queue_from(attach, p + 1)
             continue
@@ -173,7 +209,7 @@ def k_greedy_path(
         # already committed or is excluded by the current state
         children[attach].append(child)
         children[child] = []
-        tau = label
+        tau = float(label)
         if len(children) > k:  # the tree has len(children) - 1 edges
             retained = advance_into_largest_subtree()
             trace_ell.append(len(path) - 1)

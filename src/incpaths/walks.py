@@ -80,7 +80,7 @@ def walk_lengths(ordering: EdgeOrdering) -> tuple[list[int], list[int]]:
     visited = bytearray(n * n)  # visited[p * n + x]: refusal pedestrian p was at x
     visited[:: n + 1] = b"\x01" * n  # pedestrian p starts at p
     us, vs = ordering.edges_by_label
-    for u, v in zip(memoryview(us.astype(np.uint16)), memoryview(vs.astype(np.uint16))):
+    for u, v in zip(memoryview(us), memoryview(vs)):
         a, b = who[u], who[v]
         steps[a] += 1
         steps[b] += 1

@@ -334,7 +334,7 @@ def test_row_equals_matrix_row(n, model):
 @pytest.mark.parametrize("model", core.MODELS)
 def test_edges_by_label_ascending(model):
     ordering = random_ordering(30, 2, model)
-    us, vs = ordering.edges_by_label
+    us, vs = (a.astype(np.int64) for a in ordering.edges_by_label)
     index = us * ordering.n - us * (us + 1) // 2 + (vs - us - 1)
     assert np.array_equal(np.sort(index), np.arange(num_edges(ordering.n)))
     assert np.all(np.diff(ordering.labels[index]) > 0)

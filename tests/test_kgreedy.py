@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,57 @@ def test_matches_scan_reference(n, model):
 @pytest.mark.parametrize("k, mode", [(10, EXHAUST), (172, STRICT)])
 def test_matches_scan_reference_at_scale(k, mode):
     assert_same_run_as_scan(random_ordering(2000, 3, core.REAL), 0, k, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [6, 20, 60])
+def test_matches_scan_reference_in_one_key_bucket(n, mode):
+    # real labels 0.5 + rank * 2^-40 all share the row key 2^15, so every
+    # rejoin finds tau among equal keys by the exact labels
+    m = core.num_edges(n)
+    for seed in range(3):
+        ranks = np.random.default_rng(seed).permutation(m)
+        ordering = core.EdgeOrdering(n=n, model=core.REAL, labels=0.5 + ranks * 2.0**-40)
+        for k in (1, 3, 10):
+            assert_same_run_as_scan(ordering, seed, k, mode)
+
+
+@pytest.mark.parametrize("k", [1, 10, 50])
+def test_matches_scan_reference_with_colliding_permutation_keys(k):
+    # m = 79800 labels over 2^16 keys: neighbouring labels share a key
+    for seed in range(2):
+        assert_same_run_as_scan(random_ordering(400, seed), 0, k, EXHAUST)
+
+
+@pytest.mark.parametrize("k, bytes_per_edge", [(10, 6), (172, 12)])
+def test_candidate_rows_trace_little_memory(k, bytes_per_edge):
+    # calibrated on this ordering: rows of float64 labels and targets
+    # peaked at 8.61 and 20.66 bytes per edge at k = 10 and 172, rows of
+    # uint16 keys and targets at 4.07 and 9.32
+    ordering = random_ordering(400, 0, core.REAL)
+    k_greedy_path(ordering, 0, k)  # first-call setup is not the run's
+    tracemalloc.start()
+    try:
+        k_greedy_path(ordering, 0, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bytes_per_edge * core.num_edges(400)
+
+
+@pytest.mark.parametrize("model, dtype", [(core.REAL, ">f8"), (core.REAL, "f2"), (core.PERMUTATION, ">i8")])
+def test_labels_of_other_dtypes_run_as_native(model, dtype):
+    # labels a memoryview cannot index are read from a float64 copy
+    n = 20
+    native = random_ordering(n, 1, core.PERMUTATION)
+    if model == core.REAL:
+        native = core.EdgeOrdering(n=n, model=model, labels=native.labels / 256)
+    other = core.EdgeOrdering(n=n, model=model, labels=native.labels.astype(dtype))
+    for k in (1, 3, 10):
+        path, trace = k_greedy_path(other, 0, k)
+        native_path, native_trace = k_greedy_path(native, 0, k)
+        assert path == native_path
+        assert np.array_equal(trace.waiting_time, native_trace.waiting_time)
 
 
 def test_acted_on_entries_carry_the_queued_row_index(monkeypatch):
