@@ -19,8 +19,9 @@ from . import PERMUTATION, REAL, CapacityError
 
 MODELS = (PERMUTATION, REAL)
 
-#: Largest n for which an ordering is built: about 5e7 labels, 429 MiB to
-#: build by the memory model in ``_check_size``.
+#: Largest n for which an ordering is built: about 5e7 labels, 381 MiB
+#: (real) or 429 MiB (permutation) to build by the memory model in
+#: ``_check_size``.
 ORDERING_CAP = 10_000
 
 
@@ -64,11 +65,17 @@ def edge_endpoints(index: int, n: int) -> tuple[int, int]:
 def all_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (us, vs) for all edges in edge_index order, in the
     narrowest unsigned type that holds n - 1 (uint8 up to n = 256, uint16
-    up to ``ORDERING_CAP``)."""
+    up to ``ORDERING_CAP``): 2 bytes an edge, or 4, filled row by row."""
     endpoint_type = np.min_scalar_type(n - 1)
-    us, vs = np.triu_indices(n, k=1)
-    us = us.astype(endpoint_type)
-    vs = vs.astype(endpoint_type)
+    m = num_edges(n)
+    us = np.empty(m, dtype=endpoint_type)
+    vs = np.empty(m, dtype=endpoint_type)
+    vertices = np.arange(n, dtype=endpoint_type)
+    start = 0
+    for u in range(n - 1):  # row u holds the edges (u, u+1) .. (u, n-1)
+        us[start : start + n - 1 - u] = u
+        vs[start : start + n - 1 - u] = vertices[u + 1 :]
+        start += n - 1 - u
     us.setflags(write=False)
     vs.setflags(write=False)
     return us, vs
@@ -93,13 +100,20 @@ def _is_one_to_m(labels: np.ndarray, m: int) -> bool:
     return bool(seen[1:].all())
 
 
+#: Labels per block in the real check and the tie repair, so that their
+#: temporaries stay the same size whatever m is.
+_BLOCK = 1 << 14
+
+
 def _check_real(ranked: np.ndarray) -> None:
     """Raise ValueError unless the ascending real labels ``ranked`` lie
     strictly inside (0,1) and are pairwise distinct."""
     if not (ranked[0] > 0 and ranked[-1] < 1):  # NaN sorts last
         raise ValueError("real labels must lie strictly inside (0,1)")
-    if np.any(ranked[1:] == ranked[:-1]):
-        raise ValueError("tied real labels")
+    for start in range(0, len(ranked) - 1, _BLOCK):
+        block = ranked[start : start + _BLOCK + 1]
+        if np.any(block[1:] == block[:-1]):
+            raise ValueError("tied real labels")
 
 
 @dataclass(frozen=True)
@@ -178,58 +192,101 @@ class EdgeOrdering:
     @cached_property
     def edges_by_label(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (us, vs) of all edges sorted by ascending label,
-        in the narrow type of ``all_edges``."""
-        if self.model == PERMUTATION:
-            # labels are exactly 1..m, so the sort is an inverse permutation
-            order = np.empty(len(self.labels), dtype=np.int64)
-            order[self.labels - 1] = np.arange(len(self.labels))
-        else:
-            order = np.argsort(self.labels)  # labels are distinct
+        in the narrow type of ``all_edges``: 2 or 4 bytes an edge for a
+        permutation ordering, 10 or 12 while a real one sorts."""
         us, vs = all_edges(self.n)
-        return us[order], vs[order]
+        if self.model == REAL:
+            order = np.argsort(self.labels)  # labels are distinct
+            return us[order], vs[order]
+        # labels are exactly 1..m: each endpoint goes straight to its
+        # label's slot, and slot 0 stays unused
+        sorted_us = np.empty(len(us) + 1, dtype=us.dtype)
+        sorted_vs = np.empty_like(sorted_us)
+        sorted_us[self.labels] = us
+        sorted_vs[self.labels] = vs
+        return sorted_us[1:], sorted_vs[1:]
 
 
-def _detie_real(labels: np.ndarray) -> np.ndarray:
-    """Make real labels pairwise distinct and strictly inside (0,1).
+def _find_tie_repairs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label changes that make a real draw pairwise distinct and
+    strictly inside (0,1), found from the draw sorted ascending, ``ranked``,
+    which is repaired in place and checked.
 
-    Ties are broken by perturbing the higher-edge-index label upward by the
-    smallest representable increment; a stable sort puts the lower edge
-    index first within each tie group, so the bump lands on the higher one.
-    Bumps that reach 1.0 are walked back down from the top, so a tie at the
-    largest double below 1 lowers the lower-index label instead.
+    A label is first lifted to at least the smallest positive double.  Ties
+    are broken by perturbing the higher-edge-index label upward by the
+    smallest representable increment: the lower edge index comes first
+    within each tie group, as in a stable sort, so the bump lands on the
+    higher one.  Bumps that reach 1.0 are walked back down from the top, so
+    a tie at the largest double below 1 lowers the lower-index label instead.
 
     Both walks act on the sorted bit patterns b, which order as positive
     doubles do, one pattern per ulp.  Upward, c[i] = max(b[i], c[i-1] + 1)
     = i + cummax(b[j] - j).  Downward, d[i] = min(c[i], d[i+1] - 1) from
     d[m] = bits(1.0); as c[i] - i never falls, d[i] = min(c[i], bits(1.0) - m + i).
+    Both run a block at a time, and only the positions whose value moves
+    are kept.
+
+    Returns (values, ranks, repaired): the edge that is ranks[j]-th, from
+    0 in ascending edge index, among those whose lifted label is values[j]
+    takes the label repaired[j].
     """
-    labels = np.maximum(labels, np.nextafter(0.0, 1.0))  # a float64 copy
-    order = np.argsort(labels, kind="stable")
-    index = np.arange(len(labels))
-    walk = labels[order].view(np.int64) - index  # b - i, then c - i, then d - i
-    np.maximum.accumulate(walk, out=walk)
-    np.minimum(walk, np.float64(1.0).view(np.int64) - len(labels), out=walk)
-    walk += index
-    labels[order] = walk.view(np.float64)
-    return labels
+    ceiling = np.float64(1.0).view(np.int64) - len(ranked)
+    carry = np.iinfo(np.int64).min  # c - i at the previous block's end
+    moved, repaired = [], []
+    for start in range(0, len(ranked), _BLOCK):
+        block = ranked[start : start + _BLOCK]
+        np.maximum(block, np.nextafter(0.0, 1.0), out=block)
+        index = np.arange(start, start + len(block))
+        walk = block.view(np.int64) - index  # b - i, then c - i, then d - i
+        np.maximum.accumulate(walk, out=walk)
+        np.maximum(walk, carry, out=walk)
+        carry = walk[-1]
+        np.minimum(walk, ceiling, out=walk)
+        walk += index
+        at = np.flatnonzero(walk != block.view(np.int64))
+        moved.append(at + start)
+        repaired.append(walk[at].view(np.float64))
+    moved = np.concatenate(moved)
+    values = ranked[moved]
+    ranks = moved - np.searchsorted(ranked, values)
+    repaired = np.concatenate(repaired)
+    ranked[moved] = repaired
+    _check_real(ranked)
+    return values, ranks, repaired
+
+
+def _apply_tie_repairs(
+    labels: np.ndarray, values: np.ndarray, ranks: np.ndarray, repaired: np.ndarray
+) -> None:
+    """Apply ``_find_tie_repairs``' changes to the draw ``labels``, in edge
+    order, through one m-byte mask refilled for each tie group."""
+    np.maximum(labels, np.nextafter(0.0, 1.0), out=labels)
+    mask = np.empty(len(labels), dtype=bool)
+    edges = np.empty(len(values), dtype=np.int64)
+    for value in np.unique(values):  # find every group before any changes
+        group = values == value
+        edges[group] = np.flatnonzero(np.equal(labels, value, out=mask))[ranks[group]]
+    labels[edges] = repaired
 
 
 def _check_size(n: int, model: str) -> None:
     """Reject an ordering request before its n(n-1)/2 labels are allocated."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    if n > ORDERING_CAP:
-        # one 8-byte label per edge and an m-byte check mask: 9m bytes, for
-        # either model.  Calibrated on the max RSS rise of one random_ordering
-        # at n = 2000, 4000 and 8000: 17.2, 68.7 and 274.7 MiB permutation,
-        # 17.3, 68.8 and 274.9 MiB real, against 17.2, 68.6 and 274.6 here.
-        mem = 9 * num_edges(n)
-        raise CapacityError(
-            f"orderings support n <= {ORDERING_CAP}, got n={n}; an ordering at "
-            f"n={n} needs about {mem / 2**20:.0f} MiB to build"
-        )
     if model not in MODELS:
         raise ValueError(f"unknown label model {model!r}")
+    if n > ORDERING_CAP:
+        # one 8-byte label per edge, and for a permutation an m-byte check
+        # mask: 8m bytes real, 9m permutation (a real draw that needs a tie
+        # repair also holds a mask, 9m).  Calibrated on the max RSS rise of
+        # one random_ordering at n = 2000, 4000 and 8000: 15.4, 61.1 and
+        # 244.2 MiB real, against 15.3, 61.0 and 244.1 here, and 17.2, 68.7
+        # and 274.7 MiB permutation, against 17.2, 68.6 and 274.6.
+        mem = (9 if model == PERMUTATION else 8) * num_edges(n)
+        raise CapacityError(
+            f"orderings support n <= {ORDERING_CAP}, got n={n}; a {model} ordering "
+            f"at n={n} needs about {mem / 2**20:.0f} MiB to build"
+        )
 
 
 def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering:
@@ -240,8 +297,8 @@ def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering
     permutation draw is shifted to 1..m in place and checked by the
     constructor.  A real draw is sorted in place and checked, then released
     and drawn again from the same seed, in edge order, for the ordering to
-    keep; a draw with a zero or a tie is detied and checked by the
-    constructor instead.
+    keep.  A draw with a zero or a tie is repaired and checked while sorted,
+    and only its changed labels are kept to patch the second draw.
     """
     _check_size(n, model)
     m = num_edges(n)
@@ -253,12 +310,14 @@ def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering
     ranked.sort()
     try:
         _check_real(ranked)
+        repairs = None
     except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
-        del ranked
-        labels = _detie_real(np.random.default_rng(seed).random(m))
-        return EdgeOrdering(n=n, model=model, labels=labels)
+        repairs = _find_tie_repairs(ranked)
     del ranked
-    return EdgeOrdering._unchecked(n, model, np.random.default_rng(seed).random(m))
+    labels = np.random.default_rng(seed).random(m)
+    if repairs is not None:
+        _apply_tie_repairs(labels, *repairs)
+    return EdgeOrdering._unchecked(n, model, labels)
 
 
 def matching_ordering(n: int) -> EdgeOrdering:

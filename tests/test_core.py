@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from incpaths import core
 from incpaths.core import (
     EdgeOrdering,
+    all_edges,
     edge_endpoints,
     edge_index,
     is_increasing,
@@ -21,6 +22,7 @@ from incpaths.core import (
     to_permutation_model,
     write_ordering,
 )
+from oracles import _detie_real, detie_real_loop
 
 
 def longest_increasing_walk_exhaustive(ordering):
@@ -94,20 +96,44 @@ def test_random_ordering_rejects_small_n():
         random_ordering(1, 0)
 
 
+def traced_peak(build):
+    """Peak bytes that tracemalloc sees allocated while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class FaultyRng:
+    """Stands in for ``np.random.default_rng(seed)``: ``random`` returns a
+    fresh copy of a fixed draw, as each call on a new generator from the
+    same seed would."""
+
+    def __init__(self, draw):
+        self.draw = np.asarray(draw, dtype=np.float64)
+
+    def random(self, m):
+        assert m == len(self.draw)
+        return self.draw.copy()
+
+
+def build_from_draw(monkeypatch, n, draw):
+    """random_ordering(n, ...) of the real model, drawing ``draw``."""
+    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: FaultyRng(draw))
+    return random_ordering(n, 0, core.REAL).labels
+
+
 def test_random_real_labels_are_the_detied_draw(monkeypatch):
     # construction accepts a draw without zeros or ties as it is, which is
     # what _detie_real returns for it
     for seed in range(20):
         raw = np.random.default_rng(seed).random(num_edges(30))
-        assert np.array_equal(random_ordering(30, seed, core.REAL).labels, core._detie_real(raw))
+        assert np.array_equal(random_ordering(30, seed, core.REAL).labels, _detie_real(raw))
     # a draw with a zero and a tie is rejected at construction and detied
-    class TiedRng:
-        def random(self, m):
-            return np.array([0.5, 0.0, 0.5])
-
-    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: TiedRng())
-    labels = random_ordering(3, 0, core.REAL).labels
-    assert np.array_equal(labels, core._detie_real(TiedRng().random(3)))
+    draw = np.array([0.5, 0.0, 0.5])
+    assert np.array_equal(build_from_draw(monkeypatch, 3, draw), _detie_real(draw))
 
 
 def _seeded_draw(n, seed, model):
@@ -139,14 +165,81 @@ def test_random_ordering_labels_are_the_seeded_draw(n, model):
 def test_random_ordering_holds_one_label_array(model):
     random_ordering(3, 0, model)  # first-call setup is not the build's
     n = 1000
-    tracemalloc.start()
-    try:
-        random_ordering(n, 1, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the labels plus an m-byte mask; a second m-sized array would be 2x
-    assert peak < 1.25 * 8 * num_edges(n)
+    peak = traced_peak(lambda: random_ordering(n, 1, model))
+    # the labels, plus an m-byte mask for a permutation; the real check
+    # compares neighbours a block at a time.  A second m-sized array would
+    # be 2x
+    bytes_per_label = 8.5 if model == core.REAL else 10
+    assert peak < bytes_per_label * num_edges(n)
+
+
+@pytest.mark.parametrize("n, bytes_per_edge", [(200, 2.5), (1000, 4.5)])
+def test_all_edges_builds_only_its_endpoint_arrays(n, bytes_per_edge):
+    all_edges.cache_clear()
+    all_edges(4)  # first-call setup is not the build's
+    # two uint8 endpoint arrays at n = 200, two uint16 ones at n = 1000;
+    # np.triu_indices' two int64 arrays would be 16 bytes an edge
+    assert traced_peak(lambda: all_edges(n)) <= bytes_per_edge * num_edges(n)
+
+
+def test_permutation_edges_by_label_holds_only_its_outputs():
+    n = 1000
+    random_ordering(3, 0).edges_by_label  # first-call setup is not the sort's
+    ordering = random_ordering(n, 1)
+    all_edges(n)
+    peak = traced_peak(lambda: ordering.edges_by_label)
+    # two uint16 arrays of m + 1 slots; an int64 sort permutation alone
+    # would be 8 bytes an edge
+    assert peak <= 4.5 * num_edges(n)
+
+
+_TOP = float(np.nextafter(1.0, 0.0))
+_BELOW_TOP = float(np.nextafter(_TOP, 0.0))
+_QUARTER_UP = float(np.nextafter(0.25, 1.0))
+# faults a real draw can hold, each put at random positions of a clean draw
+_FAULTS = {
+    "zero": [0.0],
+    "two zeros": [0.0, 0.0],
+    "2-way tie": [0.5, 0.5],
+    "3-way tie": [0.75, 0.75, 0.75],
+    # each bump lands on the next value, which is bumped in turn
+    "one-ulp cascade": [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0))],
+    "top tie": [_TOP, _TOP],
+    "3-way top tie": [_TOP, _TOP, _TOP],
+    # the bump onto the top double is walked back down, so the lower-index
+    # label steps one ulp below
+    "below-top tie": [_BELOW_TOP, _BELOW_TOP, _TOP],
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("n", [3, 7, 30])
+@pytest.mark.parametrize("block", [core._BLOCK, 2], ids=["default-block", "block-2"])
+def test_tie_repair_equals_the_loop(monkeypatch, n, fault, block):
+    # block 2 puts tie groups and cascades across block boundaries
+    monkeypatch.setattr(core, "_BLOCK", block)
+    m = num_edges(n)
+    rng = np.random.default_rng(n)  # made before build_from_draw patches numpy
+    for _ in range(5):
+        draw = rng.random(m)
+        values = _FAULTS[fault][:m]
+        draw[rng.permutation(m)[: len(values)]] = values
+        labels = build_from_draw(monkeypatch, n, draw)
+        assert np.array_equal(labels.view(np.int64), detie_real_loop(draw).view(np.int64))
+
+
+def test_tie_repair_holds_one_label_array_and_a_mask(monkeypatch):
+    n = 1000
+    m = num_edges(n)
+    draw = np.random.default_rng(1).random(m)
+    draw[[3, m // 2, m - 1, 11]] = draw[[m - 2, 7, 0, 7]]  # 2-way and 3-way ties
+    draw[5] = 0.0
+    build_from_draw(monkeypatch, 3, [0.5, 0.0, 0.5])  # first-call setup is not the build's
+    peak = traced_peak(lambda: build_from_draw(monkeypatch, n, draw))
+    # the draw, then the labels and an m-byte mask; the whole-array
+    # repair this replaced took about 40 bytes a label
+    assert peak < 9.5 * m
+    assert np.array_equal(build_from_draw(monkeypatch, n, draw), _detie_real(draw))
 
 
 @pytest.mark.parametrize("draw", [
@@ -155,18 +248,13 @@ def test_random_ordering_holds_one_label_array(model):
     [0.5, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],  # a tie at the top double
 ])
 def test_random_real_detie_each_fault(monkeypatch, draw):
-    class FaultyRng:
-        def random(self, m):
-            return np.array(draw)
-
-    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: FaultyRng())
-    labels = random_ordering(3, 0, core.REAL).labels
-    assert np.array_equal(labels, core._detie_real(np.array(draw)))
+    labels = build_from_draw(monkeypatch, 3, draw)
+    assert np.array_equal(labels, _detie_real(np.array(draw)))
 
 
 def test_detie_breaks_exact_ties_upward():
     labels = np.array([0.5, 0.25, 0.5, 0.0, 0.25])
-    fixed = core._detie_real(labels)
+    fixed = _detie_real(labels)
     assert len(set(fixed)) == len(fixed)
     assert all(0.0 < x < 1.0 for x in fixed)
     # lower edge index keeps the sampled value, higher one is bumped up
@@ -176,46 +264,24 @@ def test_detie_breaks_exact_ties_upward():
 
 def test_detie_breaks_a_tie_at_the_top_double_downward():
     top = np.nextafter(1.0, 0.0)
-    fixed = core._detie_real(np.array([0.5, top, top]))
+    fixed = _detie_real(np.array([0.5, top, top]))
     assert len(set(fixed)) == len(fixed)
     assert all(0.0 < x < 1.0 for x in fixed)
     # the higher edge index keeps the top double, the lower one steps down
     assert fixed[0] == 0.5 and fixed[1] == np.nextafter(top, 0.0) and fixed[2] == top
     EdgeOrdering(n=3, model=core.REAL, labels=fixed)
-    fixed = core._detie_real(np.array([top, top, top, np.nextafter(top, 0.0)]))
+    fixed = _detie_real(np.array([top, top, top, np.nextafter(top, 0.0)]))
     assert len(set(fixed)) == 4 and fixed.max() == top
     assert list(np.argsort(fixed, kind="stable")) == [3, 0, 1, 2]
 
 
-def detie_real_loop(labels):
-    """The element-by-element _detie_real, kept as the reference for the
-    vectorised one."""
-    labels = labels.copy()
-    labels[labels <= 0.0] = np.nextafter(0.0, 1.0)
-    order = np.argsort(labels, kind="stable")
-    prev = 0.0
-    for i in order:
-        if labels[i] <= prev:
-            labels[i] = np.nextafter(prev, np.inf)
-        prev = labels[i]
-    ceiling = 1.0
-    for i in order[::-1]:
-        if labels[i] < ceiling:
-            break
-        labels[i] = ceiling = np.nextafter(ceiling, 0.0)
-    return labels
-
-
 def assert_detie_matches_loop(labels):
     labels = np.array(labels, dtype=np.float64)
-    fixed, expected = core._detie_real(labels), detie_real_loop(labels)
+    fixed, expected = _detie_real(labels), detie_real_loop(labels)
     assert fixed.dtype == np.float64
     assert np.array_equal(fixed.view(np.int64), expected.view(np.int64))
 
 
-_TOP = float(np.nextafter(1.0, 0.0))
-_BELOW_TOP = float(np.nextafter(_TOP, 0.0))
-_QUARTER_UP = float(np.nextafter(0.25, 1.0))
 # zeros and negatives, subnormals, one-ulp neighbours and the top doubles
 _DETIE_GRID = [-0.5, -0.0, 0.0, 5e-324, 1e-323, float(np.nextafter(0.25, 0.0)), 0.25,
                _QUARTER_UP, 0.5, _BELOW_TOP, _TOP]
@@ -253,6 +319,29 @@ def test_detie_matches_loop_on_crafted_arrays(labels):
 @settings(max_examples=300, deadline=None)
 def test_detie_matches_loop_on_fuzzed_arrays(labels):
     assert_detie_matches_loop(labels)
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.one_of(st.sampled_from(_DETIE_GRID), st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=num_edges(n),
+                max_size=num_edges(n),
+            ),
+        )
+    ),
+    st.sampled_from([core._BLOCK, 1, 2, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_tie_repair_matches_loop_on_fuzzed_draws(n_and_draw, block):
+    n, draw = n_and_draw
+    draw = np.array(draw, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(core, "_BLOCK", block)
+        labels = build_from_draw(monkeypatch, n, draw)
+    assert np.array_equal(labels.view(np.int64), detie_real_loop(draw).view(np.int64))
 
 
 def test_matching_ordering_k4_blocks():

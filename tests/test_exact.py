@@ -28,6 +28,7 @@ from incpaths.exact import (
 )
 from incpaths.kgreedy import MODES, k_greedy_path
 from incpaths.secondmoment import exact_moments
+from oracles import _detie_real
 
 # a coarse grid with exact ties, one-ulp neighbours and the zero label
 # that _detie_real lifts into (0,1)
@@ -194,7 +195,7 @@ def test_dp_matches_brute_force_real_model():
 @settings(max_examples=150, deadline=None)
 def test_detied_grid_labels(n_and_labels, k, mode):
     n, grid_labels = n_and_labels
-    labels = core._detie_real(np.array(grid_labels))
+    labels = _detie_real(np.array(grid_labels))
     ordering = EdgeOrdering(n=n, model=core.REAL, labels=labels)
     assert longest_increasing_path_len(ordering) == brute_force_longest(ordering)
     path, _ = k_greedy_path(ordering, 0, k, mode)
