@@ -17,21 +17,19 @@ import math
 
 from incpaths.core import matching_ordering, random_ordering
 from incpaths.exact import has_increasing_ham_path, longest_increasing_path_len
-from incpaths.walks import pedestrian_walks, refusal_paths
+from incpaths.walks import walk_lengths
 
 n = 30
 print(f"=== random orderings of K_{n} ===")
 for seed in range(3):
-    ordering = random_ordering(n, seed)
-    walks = pedestrian_walks(ordering)
-    paths = refusal_paths(ordering)
+    steps, lengths = walk_lengths(random_ordering(n, seed))
     print(
-        f"seed {seed}: longest pedestrian walk {max(len(w) - 1 for w in walks):3d}"
-        f"  (guarantee {n - 1}),  total steps {sum(len(w) - 1 for w in walks)}"
+        f"seed {seed}: longest pedestrian walk {max(steps):3d}"
+        f"  (guarantee {n - 1}),  total steps {sum(steps)}"
         f"  = n(n-1) = {n * (n - 1)}"
     )
     print(
-        f"         longest refusal path   {max(len(p) - 1 for p in paths):3d}"
+        f"         longest refusal path   {max(lengths):3d}"
         f"  (guarantee {math.ceil(math.sqrt(n - 1))})"
     )
 
@@ -39,8 +37,7 @@ print()
 print("=== adversarial round-robin ordering ===")
 for n in (8, 12, 16):
     ordering = matching_ordering(n)
-    walks = pedestrian_walks(ordering)
-    longest_walk = max(len(w) - 1 for w in walks)
+    longest_walk = max(walk_lengths(ordering)[0])
     longest_path = longest_increasing_path_len(ordering)
     ham = has_increasing_ham_path(ordering)
     print(

@@ -1,5 +1,5 @@
 """Edge orderings of K_n: canonical edge indexing, ordering generation, and
-increasing-walk validation.
+the labels along a walk.
 
 An edge ordering assigns every edge of the complete graph K_n a distinct
 label; only the relative order of labels matters.  Two label models are
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,19 +46,6 @@ def edge_index(u: int, v: int, n: int) -> int:
     if u > v:
         u, v = v, u
     return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def edge_endpoints(index: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    m = num_edges(n)
-    if not 0 <= index < m:
-        raise ValueError(f"edge index {index} out of range for n={n}")
-    u = 0
-    # row u holds n-1-u consecutive indices
-    while index >= n - 1 - u:
-        index -= n - 1 - u
-        u += 1
-    return u, u + 1 + index
 
 
 @lru_cache(maxsize=8)
@@ -131,6 +118,11 @@ class EdgeOrdering:
     check sorts a copy of the labels, leaving the caller's array as it is.
     ``random_ordering`` checks its real draw itself, sorted in place, and
     builds the ordering through ``_unchecked``.
+
+    No command builds the n-by-n ``matrix``: the greedy and k-greedy
+    searches gather ``row``s, and the walks and the exact DPs read
+    ``edges_by_label``.  ``matrix`` remains as the tests' and the
+    benchmark replay's reference.
     """
 
     n: int
@@ -343,8 +335,11 @@ def matching_ordering(n: int) -> EdgeOrdering:
     return EdgeOrdering(n=n, model=PERMUTATION, labels=labels)
 
 
-def check_walk(n: int, vertices: Sequence[int]) -> None:
-    """Raise ValueError unless ``vertices`` is a valid walk in K_n."""
+def walk_labels(ordering: EdgeOrdering, vertices: Sequence[int]) -> list:
+    """Labels of the walk's edges, in traversal order.  Raise ValueError
+    unless ``vertices`` is a valid walk in K_n: at least one vertex, each
+    in range, and no two consecutive ones equal."""
+    n = ordering.n
     if len(vertices) < 1:
         raise ValueError("walk must contain at least one vertex")
     for v in vertices:
@@ -353,69 +348,4 @@ def check_walk(n: int, vertices: Sequence[int]) -> None:
     for a, b in zip(vertices, vertices[1:]):
         if a == b:
             raise ValueError("consecutive walk vertices must differ")
-
-
-def is_path(vertices: Sequence[int]) -> bool:
-    """True iff the walk is self-avoiding."""
-    return len(set(vertices)) == len(vertices)
-
-
-def walk_labels(ordering: EdgeOrdering, vertices: Sequence[int]) -> list:
-    """Labels of the walk's edges, in traversal order."""
-    check_walk(ordering.n, vertices)
     return [ordering.label(a, b) for a, b in zip(vertices, vertices[1:])]
-
-
-def is_increasing(ordering: EdgeOrdering, vertices: Sequence[int]) -> bool:
-    """True iff consecutive edge labels strictly increase along the walk.
-
-    Single-vertex and single-edge walks are vacuously increasing.
-    """
-    labels = walk_labels(ordering, vertices)
-    return all(a < b for a, b in zip(labels, labels[1:]))
-
-
-def to_permutation_model(ordering: EdgeOrdering) -> EdgeOrdering:
-    """Permutation-model ordering inducing the same relative label order."""
-    ranks = np.empty(len(ordering.labels), dtype=np.int64)
-    ranks[np.argsort(ordering.labels)] = np.arange(1, len(ordering.labels) + 1)
-    return EdgeOrdering(n=ordering.n, model=PERMUTATION, labels=ranks)
-
-
-def write_ordering(ordering: EdgeOrdering, path) -> None:
-    """Write the text format: "n <n> <model>", then "<u> <v> <label>" per
-    edge in edge_index order.  Real labels round-trip bit-exactly."""
-    us, vs = all_edges(ordering.n)
-    with open(path, "w") as fh:
-        fh.write(f"n {ordering.n} {ordering.model}\n")
-        for u, v, lab in zip(us, vs, ordering.labels):
-            if ordering.model == PERMUTATION:
-                fh.write(f"{u} {v} {lab}\n")
-            else:
-                fh.write(f"{u} {v} {lab:.17g}\n")
-
-
-def read_ordering(path) -> EdgeOrdering:
-    """Read an ordering written by write_ordering.  Every edge must appear
-    exactly once: a missing or repeated edge is a ValueError."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "n":
-            raise ValueError(f"bad ordering file header: {header}")
-        n, model = int(header[1]), header[2]
-        _check_size(n, model)
-        dtype = np.int64 if model == PERMUTATION else np.float64
-        labels = np.zeros(num_edges(n), dtype=dtype)
-        seen = np.zeros(num_edges(n), dtype=bool)
-        for line in fh:
-            u, v, lab = line.split()
-            idx = edge_index(int(u), int(v), n)
-            if seen[idx]:
-                raise ValueError(f"edge ({u}, {v}) appears twice in {path}")
-            seen[idx] = True
-            labels[idx] = int(lab) if model == PERMUTATION else float(lab)
-    if not seen.all():
-        u, v = edge_endpoints(int(np.argmin(seen)), n)
-        missing = num_edges(n) - int(seen.sum())
-        raise ValueError(f"{missing} edges missing from {path}, first ({u}, {v})")
-    return EdgeOrdering(n=n, model=model, labels=labels)

@@ -121,9 +121,11 @@ def _signature(match) -> ProfileSignature:
 
 
 def _extension_count(match) -> int:
-    """Product over the gaps between consecutive shared edges (and the
-    path ends) of C(a + b, a), a and b the private edges of A and of B in
-    the gap; 0 when the shared edges are not in the same order along B."""
+    """Number of orderings of the union of both edge chains that are
+    increasing along A and along B (shared edges identified): the product
+    over the gaps between consecutive shared edges (and the path ends) of
+    C(a + b, a), a and b the private edges of A and of B in the gap; 0 when
+    the shared edges are not in the same order along B."""
     p = len(match) - 1
     shared = [(i, j) for i, j in enumerate(match) if j]
     count = 1
@@ -140,13 +142,6 @@ def _extension_count(match) -> int:
 def classify_pair(a_seq, b_seq) -> ProfileSignature:
     """Signature (c, k, ell) of an ordered pair of Hamiltonian sequences."""
     return _signature(_match_pair(a_seq, b_seq))
-
-
-def linear_extension_count(a_seq, b_seq) -> int:
-    """Number of orderings of the union of both edge chains that are
-    increasing along A and along B (shared edges identified): the product
-    of gap binomials in ``_extension_count``."""
-    return _extension_count(_match_pair(a_seq, b_seq))
 
 
 def pair_probability(a_seq, b_seq) -> Fraction:

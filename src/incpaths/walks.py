@@ -8,10 +8,11 @@ which keeps all trajectories simple at the cost of a weaker sqrt(n-1)
 guarantee.
 
 ``walk_lengths`` runs both processes in one pass over the edges and keeps
-only their lengths: the CLI's walk measures use it, with O(n^2) bytes of
-state (one visited flag per pedestrian and vertex).  ``pedestrian_walks``
-and ``refusal_paths`` build the n full trajectories, n(n-1) vertex entries
-in all, for inspection.
+only their lengths: the CLI's walk measures and the demos use it, with
+O(n^2) bytes of state (one visited flag per pedestrian and vertex).
+``pedestrian_walks`` and ``refusal_paths`` build the n full trajectories,
+n(n-1) vertex entries in all; they remain as the tests' and the benchmark
+replay's reference for ``walk_lengths``.
 """
 
 from __future__ import annotations

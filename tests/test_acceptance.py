@@ -24,7 +24,7 @@ from incpaths.exact import count_increasing_ham_paths
 from incpaths.harness import ExperimentConfig, run
 from incpaths.kgreedy import EXHAUST, k_greedy_path
 from incpaths.walks import greedy_path, pedestrian_walks, refusal_paths
-from test_secondmoment import _split_term  # one split term, as an exact Fraction
+from oracles import _split_term  # one split term, as an exact Fraction
 
 SEED = 20250810
 
@@ -295,7 +295,7 @@ def test_criterion_12_bound_sanity():
     identity = tuple(range(6))
     labelable: dict = {}
     for b in itertools.permutations(range(6)):
-        if secondmoment.linear_extension_count(identity, b) > 0:
+        if secondmoment.pair_probability(identity, b) > 0:
             sig = secondmoment.classify_pair(identity, b)
             labelable[sig] = labelable.get(sig, 0) + math.factorial(6)
     bounds_ok = True

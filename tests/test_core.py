@@ -12,17 +12,12 @@ from incpaths import core
 from incpaths.core import (
     EdgeOrdering,
     all_edges,
-    edge_endpoints,
     edge_index,
-    is_increasing,
     matching_ordering,
     num_edges,
     random_ordering,
-    read_ordering,
-    to_permutation_model,
-    write_ordering,
 )
-from oracles import _detie_real, detie_real_loop
+from oracles import _detie_real, detie_real_loop, is_increasing, to_permutation_model
 
 
 def longest_increasing_walk_exhaustive(ordering):
@@ -60,13 +55,14 @@ def test_edge_index_errors():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
 def test_edge_index_bijection(n):
-    seen = set()
-    for idx in range(num_edges(n)):
-        u, v = edge_endpoints(idx, n)
+    # all_edges(n) lists m distinct pairs u < v < n, so they are every edge,
+    # and edge_index numbers them 0..m-1 in that order
+    us, vs = all_edges(n)
+    edges = list(zip(us.tolist(), vs.tolist()))
+    assert len(edges) == len(set(edges)) == num_edges(n)
+    for idx, (u, v) in enumerate(edges):
         assert 0 <= u < v < n
         assert edge_index(u, v, n) == idx
-        seen.add((u, v))
-    assert len(seen) == num_edges(n)
 
 
 def test_random_ordering_permutation_is_bijection():
@@ -344,11 +340,14 @@ def test_tie_repair_matches_loop_on_fuzzed_draws(n_and_draw, block):
     assert np.array_equal(labels.view(np.int64), detie_real_loop(draw).view(np.int64))
 
 
+def endpoints_by_label(ordering):
+    """label -> (u, v), read off the all_edges tables."""
+    us, vs = all_edges(ordering.n)
+    return dict(zip(ordering.labels.tolist(), zip(us.tolist(), vs.tolist())))
+
+
 def test_matching_ordering_k4_blocks():
-    ordering = matching_ordering(4)
-    by_label = {}
-    for idx, lab in enumerate(ordering.labels):
-        by_label[int(lab)] = edge_endpoints(idx, 4)
+    by_label = endpoints_by_label(matching_ordering(4))
     # three matchings of two vertex-disjoint edges, label blocks {1,2},{3,4},{5,6}
     for block in ((1, 2), (3, 4), (5, 6)):
         verts = [w for lab in block for w in by_label[lab]]
@@ -357,8 +356,7 @@ def test_matching_ordering_k4_blocks():
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_matching_ordering_blocks_vertex_disjoint(n):
-    ordering = matching_ordering(n)
-    edges_of = {int(lab): edge_endpoints(i, n) for i, lab in enumerate(ordering.labels)}
+    edges_of = endpoints_by_label(matching_ordering(n))
     half = n // 2
     for block_start in range(1, num_edges(n) + 1, half):
         verts = [w for lab in range(block_start, block_start + half) for w in edges_of[lab]]
@@ -437,35 +435,6 @@ def test_matrix_symmetric_inf_diagonal():
     assert mat[1, 3] == ordering.label(1, 3)
 
 
-@pytest.mark.parametrize("model", core.MODELS)
-def test_ordering_file_roundtrip(tmp_path, model):
-    ordering = random_ordering(11, 42, model)
-    path = tmp_path / "ordering.txt"
-    write_ordering(ordering, path)
-    back = read_ordering(path)
-    assert back.n == ordering.n
-    assert back.model == ordering.model
-    assert np.array_equal(back.labels, ordering.labels)  # bit-exact
-
-
-def test_read_ordering_rejects_truncated_file(tmp_path):
-    path = tmp_path / "ordering.txt"
-    path.write_text(f"n 4 {core.PERMUTATION}\n0 1 3\n")
-    with pytest.raises(ValueError, match="missing"):
-        read_ordering(path)
-
-
-def test_read_ordering_rejects_repeated_edge(tmp_path):
-    ordering = random_ordering(4, 1, core.PERMUTATION)
-    path = tmp_path / "ordering.txt"
-    write_ordering(ordering, path)
-    lines = path.read_text().splitlines()
-    # the last line names (1, 0): edge (0, 1) a second time
-    path.write_text("\n".join(lines[:-1] + ["1 0 " + lines[-1].split()[2]]) + "\n")
-    with pytest.raises(ValueError, match="twice"):
-        read_ordering(path)
-
-
 @pytest.mark.parametrize(
     "n, labels",
     [
@@ -486,30 +455,9 @@ def test_rejects_real_label_outside_unit_interval(bad):
         EdgeOrdering(n=3, model=core.REAL, labels=labels)
 
 
-def test_read_ordering_rejects_nan_label(tmp_path):
-    path = tmp_path / "ordering.txt"
-    path.write_text(f"n 3 {core.REAL}\n0 1 0.25\n0 2 nan\n1 2 0.75\n")
-    with pytest.raises(ValueError, match="inside"):
-        read_ordering(path)
-
-
 def test_rejects_tied_real_labels():
     with pytest.raises(ValueError, match="tied"):
         EdgeOrdering(n=3, model=core.REAL, labels=np.array([0.25, 0.75, 0.25]))
-
-
-def test_read_ordering_rejects_n_over_cap_before_allocating(tmp_path):
-    path = tmp_path / "ordering.txt"
-    path.write_text(f"n 1000000 {core.REAL}\n")
-    with pytest.raises(core.CapacityError, match="n <= 10000"):
-        read_ordering(path)
-
-
-def test_read_ordering_rejects_tied_real_labels(tmp_path):
-    path = tmp_path / "ordering.txt"
-    path.write_text(f"n 3 {core.REAL}\n0 1 0.25\n0 2 0.75\n1 2 0.25\n")
-    with pytest.raises(ValueError, match="tied"):
-        read_ordering(path)
 
 
 def test_labels_immutable():

@@ -421,6 +421,22 @@ def test_alpha_limit_estimate():
     assert alpha_limit_estimate(50)["alpha_at_k"] == alpha(50, FLOAT)
 
 
+# values README.md states, each with the digits it states them to
+README_VALUES = {
+    "alpha_100": (lambda: alpha(100), "0.53082"),
+    "predicted_fraction_100": (lambda: predicted_fraction(100), "0.84800"),
+    "predicted_fraction_10": (lambda: predicted_fraction(10), "0.8049"),
+    "richardson_limit": (lambda: alpha_limit_estimate(1000)["richardson"], "0.5219"),
+}
+
+
+@pytest.mark.parametrize("name", README_VALUES)
+def test_readme_values_round_to_stated_digits(name):
+    value, stated = README_VALUES[name]
+    digits = len(stated.split(".")[1])
+    assert f"{float(value()):.{digits}f}" == stated
+
+
 def test_capacity_and_argument_errors():
     with pytest.raises(CapacityError):
         longest_cycle_distribution(RATIONAL_CAP + 1, RATIONAL)

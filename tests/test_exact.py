@@ -13,8 +13,6 @@ from incpaths import core
 from incpaths.core import (
     CapacityError,
     EdgeOrdering,
-    is_increasing,
-    is_path,
     matching_ordering,
     random_ordering,
 )
@@ -28,7 +26,7 @@ from incpaths.exact import (
 )
 from incpaths.kgreedy import MODES, k_greedy_path
 from incpaths.secondmoment import exact_moments
-from oracles import _detie_real
+from oracles import _detie_real, is_increasing, is_path
 
 # a coarse grid with exact ties, one-ulp neighbours and the zero label
 # that _detie_real lifts into (0,1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from incpaths import core, kgreedy
-from incpaths.core import is_increasing, is_path, random_ordering
+from incpaths.core import random_ordering
 from incpaths.cyclestats import longest_cycle_distribution
 from incpaths.kgreedy import (
     EXHAUST,
@@ -21,6 +21,7 @@ from incpaths.kgreedy import (
     k_greedy_path,
 )
 from incpaths.walks import greedy_path
+from oracles import is_increasing, is_path
 
 
 def k_greedy_reference(ordering, v0, k, mode):

@@ -16,17 +16,23 @@ from incpaths.secondmoment import (
     MomentReport,
     ProfileSignature,
     _compositions_min2,
+    _extension_count,
     _match_pair,
     classify_pair,
     constant_C_partial,
     embedding_bound,
     exact_moments,
     labeled_profile_bound,
-    linear_extension_count,
     moment_report_to_dict,
     pair_probability,
     profile_census,
     s_sum_bounds,
+)
+from oracles import (
+    _split_sum,
+    _split_term,
+    interleaving_extension_count_reference,
+    is_increasing,
 )
 
 
@@ -68,28 +74,6 @@ def classify_pair_by_edge_sets(a_seq, b_seq):
         k += 1
         ell += run == 1
     return ProfileSignature(c=c, k=k, ell=ell)
-
-
-def interleaving_extension_count_reference(match) -> int:
-    """Interleaving DP over prefix pairs (i, j): the last element is A's
-    i-th edge (if unshared), B's j-th edge (if unshared), or their shared
-    edge when A's i-th and B's j-th coincide.  Crossed identifications
-    never reach a nonzero state, so incompatible pairs count 0.  Only the
-    previous row is kept; row 0 extends a virtual row [1, 0, ...] through
-    the unused match[0] = 0, which makes the empty prefix pair count 1."""
-    p = len(match) - 1
-    shared_b = set(match)
-    row = [1] + [0] * p
-    for i in range(p + 1):
-        prev_row, row = row, [0] * (p + 1)
-        for j in range(p + 1):
-            total = prev_row[j] if match[i] == 0 else 0
-            if j and j not in shared_b:
-                total += row[j - 1]
-            if j and match[i] == j:
-                total += prev_row[j - 1]
-            row[j] = total
-    return row[p]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -160,9 +144,8 @@ def test_extension_count_matches_interleaving_dp():
     ]
     pairs += [(tuple(range(n)), b) for n in (6, 7) for b in itertools.permutations(range(n))]
     for a, b in pairs:
-        assert linear_extension_count(a, b) == interleaving_extension_count_reference(
-            _match_pair(a, b)
-        ), (a, b)
+        match = _match_pair(a, b)
+        assert _extension_count(match) == interleaving_extension_count_reference(match), (a, b)
 
 
 def test_extension_count_one_shared_middle_edge():
@@ -171,7 +154,7 @@ def test_extension_count_one_shared_middle_edge():
     # after it A has 1 and B 3, C(4, 1) = 4.  The union has 7 edges.
     a, b = [0, 1, 2, 3, 4], [2, 3, 0, 4, 1]
     assert classify_pair(a, b) == ProfileSignature(1, 1, 1)
-    assert linear_extension_count(a, b) == 4
+    assert _extension_count(_match_pair(a, b)) == 4
     assert pair_probability(a, b) == Fraction(4, math.factorial(7))
 
 
@@ -196,7 +179,7 @@ def test_pair_probability_against_full_enumeration():
         hits = sum(
             1
             for o in orderings
-            if core.is_increasing(o, a) and core.is_increasing(o, b)
+            if is_increasing(o, a) and is_increasing(o, b)
         )
         assert pair_probability(a, b) == Fraction(hits, len(orderings))
 
@@ -247,7 +230,7 @@ def test_census_classes_within_lemma_bounds():
     identity = tuple(range(n))
     labelable = {}
     for b in itertools.permutations(range(n)):
-        if linear_extension_count(identity, b) > 0:
+        if pair_probability(identity, b) > 0:
             sig = classify_pair(identity, b)
             labelable[sig] = labelable.get(sig, 0) + math.factorial(n)
     for sig, cls in census.items():
@@ -326,37 +309,6 @@ def test_s_sum_small_c_ratio_approaches_one():
         s1, _, _ = s_sum_bounds(n)
         ratios[n] = s1 / (math.e * n * n)
     assert abs(ratios[400] - 1) < abs(ratios[50] - 1)
-
-
-# The per-term split sum that s_sum_bounds ran before its terms were
-# stepped in k, word for word (_split_term and _split_k_factor are no
-# longer in the package), as oracles for secondmoment._split_sum;
-# test_acceptance.py checks its log-space terms against _split_term.
-
-
-def _split_k_factor(c, k, n, fact):
-    """The factor of a split term that varies with k: 2^k C(c-1, k-1)
-    C(2m+k, k) (n-c-k)! with m = n-c-1."""
-    m = n - c - 1
-    return 2**k * math.comb(c - 1, k - 1) * math.comb(2 * m + k, k) * fact[n - c - k]
-
-
-def _split_term(c, k, n, fact):
-    """2^k C(c-1, k-1) multinomial(2(n-c-1)+k; ...) n!(n-c-k)!/(2n-c-2)!"""
-    m = n - c - 1
-    num = _split_k_factor(c, k, n, fact) * math.comb(2 * m, m) * fact[n]
-    return Fraction(num, fact[2 * n - c - 2])
-
-
-def _split_sum(c_range, n, fact, up):
-    """Sum of ``_split_term`` over c in c_range and 1 <= k <= min(c, n-c),
-    as an integer over (2n-2)!; factors free of k are applied once per c."""
-    total = 0
-    for c in c_range:
-        m = n - c - 1
-        inner = sum(_split_k_factor(c, k, n, fact) for k in range(1, min(c, n - c) + 1))
-        total += inner * math.comb(2 * m, m) * up[c]
-    return total * fact[n]
 
 
 def s_sum_fractions(n):

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from incpaths import core
-from incpaths.core import (
-    UnsupportedModelError,
-    is_increasing,
-    is_path,
-    matching_ordering,
-    random_ordering,
-    to_permutation_model,
-)
+from incpaths.core import UnsupportedModelError, matching_ordering, random_ordering
 from incpaths.walks import greedy_path, jumps, pedestrian_walks, refusal_paths, walk_lengths
+from oracles import is_increasing, is_path, to_permutation_model
 
 TELESCOPE_TOL = 2.0**-40
 
