@@ -2,10 +2,10 @@
 
 Every command produces a JSON report echoing its configuration, the
 pinned PRNG identifier, and the toolkit version; trial t draws its seed
-from the master seed through a SplitMix64 mix, so results are bit-stable
-across runs and worker counts.  Wall-clock duration, the worker count and
-the peak RSS live in a separate ``meta`` block, outside the reproducible
-part.
+from the master seed (0 <= seed < 2**64) through a SplitMix64 mix, so
+results are bit-stable across runs and worker counts.  Wall-clock
+duration, the worker count and the peak RSS live in a separate ``meta``
+block, outside the reproducible part.
 
 Each command names the layers it runs (``Command.layers``); ``run``
 imports those, and no others, before its clock starts, so the duration is
@@ -115,9 +115,10 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         """Command defaults filled in; returns the config echo dict.
 
-        A parameter the command does not take, a .csv ``out`` for a
-        command without a tabular export, or an ``out`` in a missing
-        directory is rejected rather than echoed, ignored or run into."""
+        A parameter the command does not take, a seed outside
+        0 <= seed < 2**64, a .csv ``out`` for a command without a tabular
+        export, or an ``out`` in a missing directory is rejected rather
+        than echoed, ignored or run into."""
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         command = COMMANDS[self.command]
@@ -137,6 +138,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.command} has no CSV export: {self.out}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"--out directory does not exist: {self.out}")
+        if not 0 <= self.seed <= _M64:
+            # trial_seed reduces the seed mod 2**64: no two seeds may share a stream
+            raise ValueError(f"need 0 <= seed < 2**64, got seed={self.seed}")
         params["command"] = self.command
         params["seed"] = self.seed
         if params.get("trials", 1) < 1:

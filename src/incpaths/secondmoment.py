@@ -17,29 +17,29 @@ or a >= 2-edge shared segment traversed in opposite directions) it is 0.
 Pairs are grouped by intersection profile signature (c, k, l): shared
 edge count, number of shared segments (connected runs of shared edges,
 necessarily contiguous in both paths), and number of single-edge
-segments.  Closed-form upper bounds on class sizes and the exactly
-evaluated split sums over small/medium/large c reproduce the structure
-of the second-moment estimate E[H_n^2] ~ e * n^2, whose inner constant
-is sum_k 3^k/k! = e^3.
+segments.  The exactly evaluated split sums over small/medium/large c
+reproduce the structure of the second-moment estimate
+E[H_n^2] ~ e * n^2, whose inner constant is sum_k 3^k/k! = e^3.
 
 Each pair is validated and its edges matched once; the signature and the
-extension count are both read from that matching.  All bound and census
+extension count are both read from that matching.  All sum and census
 arithmetic is exact (Python ints and Fractions): E[H_n^2] and the split
 sums are integers over the common denominator (2n-2)!; E[H_n^2] becomes
 one Fraction and each split sum one correctly rounded division at the
 end.  No other floating point enters except where an explicit e^{-2}
 scale factor is applied.
 
-The medium and large-c split sums and the e^3 partial sums compute no
-binomial per term.  Within a split sum the k-factor
-a_k = 2^k C(c-1, k-1) C(2m+k, k) is stepped from a_{k-1},
+The segment counts inner(c, k) = [x^c] (2x + x^2/(1-x))^k, the ways to
+lay k shared segments over c shared edges, come off one prefix-sum row
+per k; the small-c split sum and the e^3 partial sums (summed over k by
+Horner's rule) both read them.
+
+The medium and large-c split sums compute no binomial per term: the
+k-factor a_k = 2^k C(c-1, k-1) C(2m+k, k) is stepped from a_{k-1},
 
     a_k = a_{k-1} * 2 (c-k+1)(2m+k) / ((k-1) k),    a_1 = 2(2m+1),
 
-and sum_k a_k (n-c-k)! runs by Horner's rule.  The e^3 partial sums read
-the segment counts inner(c, k) = [x^c] (2x + x^2/(1-x))^k off one row per
-k, each row a prefix-sum step from the one before, and sum over k by
-Horner's rule too.
+and sum_k a_k (n-c-k)! runs by Horner's rule too.
 """
 
 from __future__ import annotations
@@ -192,53 +192,8 @@ def exact_moments(n: int) -> MomentReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form bounds and split sums
+# split sums
 # ---------------------------------------------------------------------------
-
-
-def _check_signature(c, k, ell, n=None):
-    if not (0 <= ell <= k <= c or (c == k == ell == 0)):
-        raise ValueError(f"invalid signature (c={c}, k={k}, ell={ell})")
-    if ell < 2 * k - c:
-        raise ValueError(f"invalid signature: ell={ell} < 2k-c={2 * k - c}")
-    if n is not None:
-        if n < 2 or c > n - 1 or k > n - c:
-            raise ValueError(f"signature (c={c}, k={k}, ell={ell}) impossible for n={n}")
-
-
-def _compositions_min2(total, parts):
-    """Compositions of ``total`` into ``parts`` ordered parts, each >= 2."""
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < 2 * parts:
-        return 0
-    return math.comb(total - parts - 1, parts - 1)
-
-
-def _multinomial_two_plus_k(m, k):
-    """(2m+k)! / (m! m! k!)"""
-    return math.comb(2 * m + k, k) * math.comb(2 * m, m)
-
-
-def labeled_profile_bound(c: int, k: int, ell: int, n: int) -> int:
-    """Upper bound on the number of labeled profiles with signature
-    (c, k, ell): 2^ell * C(k, ell) * #compositions of the c-ell non-single
-    shared edges into k-ell segments of length >= 2, times the number of
-    interleavings of the two private edge sets and the k segments."""
-    _check_signature(c, k, ell, n)
-    comp = _compositions_min2(c - ell, k - ell)
-    if comp == 0:
-        return 0
-    m = n - c - 1
-    return 2**ell * math.comb(k, ell) * comp * _multinomial_two_plus_k(m, k)
-
-
-def embedding_bound(c: int, k: int, n: int) -> int:
-    """Upper bound n! (n-c-k)! on the number of path pairs fitting any one
-    profile with c shared edges in k segments."""
-    if not (0 <= c <= n - 1) or not (0 <= k <= min(c, n - c)):
-        raise ValueError(f"invalid (c={c}, k={k}) for n={n}")
-    return math.factorial(n) * math.factorial(n - c - k)
 
 
 def _falling_to_common(n):
@@ -267,11 +222,26 @@ def _split_sum(c_range, n, fact, up):
     return total * fact[n]
 
 
+def _small_sum(c_small, n, fact, up):
+    """Sum of the small-c terms inner(c, k) multinomial(2m+k; m, m, k)
+    n! (n-c-k)!/(2n-c-2)!, m = n-c-1, over 0 <= k <= c <= c_small, as an
+    integer over (2n-2)!, inner(c, k) read off the ``_segment_rows``.
+    Callers keep c_small <= ln n < n/2, so k <= n-c holds throughout."""
+    total = 0
+    for k, tail in enumerate(_segment_rows(c_small)):
+        for c, inner in enumerate(tail, k):
+            m = n - c - 1
+            total += inner * math.comb(2 * m + k, k) * math.comb(2 * m, m) * fact[n - c - k] * up[c]
+    return total * fact[n]
+
+
 def s_sum_bounds(n: int) -> tuple[float, float, float]:
     """Exactly evaluated split of the second-moment sum by shared-edge
     count: the e^{-2}-scaled small-c part (c <= floor(ln n), asymptotically
     e n^2), and upper bounds for the medium part (c <= floor(9n/10)) and
-    the large-c tail.
+    the large-c tail.  The small-c part weights each (c, k) term by the
+    segment count inner(c, k) from ``_segment_rows``; the other two weight
+    it by 2^k C(c-1, k-1), which bounds that count.
 
     Every term's denominator (2n-c-2)! divides (2n-2)!, so each sum is
     accumulated as an integer over (2n-2)! and becomes one correctly
@@ -295,12 +265,7 @@ def s_sum_bounds(n: int) -> tuple[float, float, float]:
     c_small = int(math.floor(math.log(n)))
     c_mid = 9 * n // 10
 
-    small = 0
-    for c in range(c_small + 1):
-        for k in range(min(c, n - c) + 1):
-            for ell in range(max(0, 2 * k - c), k + 1):
-                bound = labeled_profile_bound(c, k, ell, n) * embedding_bound(c, k, n)
-                small += bound * up[c]
+    small = _small_sum(c_small, n, fact, up)
     mid = _split_sum(range(c_small + 1, c_mid + 1), n, fact, up)
     tail = _split_sum(range(c_mid + 1, n), n, fact, up)
     common = fact[2 * n - 2]

@@ -1,6 +1,6 @@
 """Reference implementations the tests compare the package against: code
-that ``src/`` has replaced, and the walk checks that ``src/`` no longer
-exports."""
+that ``src/`` has replaced, and the walk checks and lemma bounds that
+``src/`` no longer exports."""
 
 import math
 from fractions import Fraction
@@ -132,3 +132,55 @@ def _split_sum(c_range, n, fact, up):
         inner = sum(_split_k_factor(c, k, n, fact) for k in range(1, min(c, n - c) + 1))
         total += inner * math.comb(2 * m, m) * up[c]
     return total * fact[n]
+
+
+# The labeled-profile and embedding bounds, with their helpers, that
+# secondmoment.s_sum_bounds summed term by term for its small-c part before
+# it read the segment counts off secondmoment._segment_rows, word for word:
+# the reference for secondmoment._small_sum and the lemma bounds the
+# census classes are checked against.
+
+
+def _check_signature(c, k, ell, n=None):
+    if not (0 <= ell <= k <= c or (c == k == ell == 0)):
+        raise ValueError(f"invalid signature (c={c}, k={k}, ell={ell})")
+    if ell < 2 * k - c:
+        raise ValueError(f"invalid signature: ell={ell} < 2k-c={2 * k - c}")
+    if n is not None:
+        if n < 2 or c > n - 1 or k > n - c:
+            raise ValueError(f"signature (c={c}, k={k}, ell={ell}) impossible for n={n}")
+
+
+def _compositions_min2(total, parts):
+    """Compositions of ``total`` into ``parts`` ordered parts, each >= 2."""
+    if parts == 0:
+        return 1 if total == 0 else 0
+    if total < 2 * parts:
+        return 0
+    return math.comb(total - parts - 1, parts - 1)
+
+
+def _multinomial_two_plus_k(m, k):
+    """(2m+k)! / (m! m! k!)"""
+    return math.comb(2 * m + k, k) * math.comb(2 * m, m)
+
+
+def labeled_profile_bound(c: int, k: int, ell: int, n: int) -> int:
+    """Upper bound on the number of labeled profiles with signature
+    (c, k, ell): 2^ell * C(k, ell) * #compositions of the c-ell non-single
+    shared edges into k-ell segments of length >= 2, times the number of
+    interleavings of the two private edge sets and the k segments."""
+    _check_signature(c, k, ell, n)
+    comp = _compositions_min2(c - ell, k - ell)
+    if comp == 0:
+        return 0
+    m = n - c - 1
+    return 2**ell * math.comb(k, ell) * comp * _multinomial_two_plus_k(m, k)
+
+
+def embedding_bound(c: int, k: int, n: int) -> int:
+    """Upper bound n! (n-c-k)! on the number of path pairs fitting any one
+    profile with c shared edges in k segments."""
+    if not (0 <= c <= n - 1) or not (0 <= k <= min(c, n - c)):
+        raise ValueError(f"invalid (c={c}, k={k}) for n={n}")
+    return math.factorial(n) * math.factorial(n - c - k)

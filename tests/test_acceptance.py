@@ -25,6 +25,7 @@ from incpaths.harness import ExperimentConfig, run
 from incpaths.kgreedy import EXHAUST, k_greedy_path
 from incpaths.walks import greedy_path, pedestrian_walks, refusal_paths
 from oracles import _split_term  # one split term, as an exact Fraction
+from oracles import embedding_bound, labeled_profile_bound
 
 SEED = 20250810
 
@@ -300,9 +301,7 @@ def test_criterion_12_bound_sanity():
             labelable[sig] = labelable.get(sig, 0) + math.factorial(6)
     bounds_ok = True
     for sig, cls in census.items():
-        cap = secondmoment.labeled_profile_bound(
-            sig.c, sig.k, sig.ell, 6
-        ) * secondmoment.embedding_bound(sig.c, sig.k, 6)
+        cap = labeled_profile_bound(sig.c, sig.k, sig.ell, 6) * embedding_bound(sig.c, sig.k, 6)
         bounds_ok &= cls.mass <= cap and labelable.get(sig, 0) <= cap
     # S3 promises o(n^2) decay, which sets in only past n ~ 5400; the exact
     # path reaches n = 400, so the trend is read off a log-space evaluation

@@ -267,6 +267,22 @@ def test_cli_rejects_nonpositive_threads(threads):
     assert main(["greedy-sim", "--n", "20", "--trials", "2", "--threads", threads]) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "argv", [["greedy-sim", "--n", "20", "--trials", "2"], ["cycles-mc", "--k", "6", "--trials", "10"]]
+)
+def test_cli_rejects_seed_outside_64_bits(argv, seed, capsys):
+    # trial_seed reduces the seed mod 2**64, so seeds past it would repeat a stream
+    assert main([*argv, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: need 0 <= seed < 2**64, got seed={seed}\n" and not captured.out
+
+
+def test_cli_accepts_the_largest_seed(capsys):
+    assert main(["greedy-sim", "--n", "20", "--trials", "2", "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 2**64 - 1
+
+
 def test_cli_rejects_csv_out_without_export(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["greedy-sim", "--n", "20", "--trials", "2", "--out", str(out)]) == 2

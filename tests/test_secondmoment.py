@@ -15,24 +15,24 @@ from incpaths.secondmoment import (
     CensusClass,
     MomentReport,
     ProfileSignature,
-    _compositions_min2,
     _extension_count,
     _match_pair,
     classify_pair,
     constant_C_partial,
-    embedding_bound,
     exact_moments,
-    labeled_profile_bound,
     moment_report_to_dict,
     pair_probability,
     profile_census,
     s_sum_bounds,
 )
 from oracles import (
+    _compositions_min2,
     _split_sum,
     _split_term,
+    embedding_bound,
     interleaving_extension_count_reference,
     is_increasing,
+    labeled_profile_bound,
 )
 
 
@@ -349,12 +349,19 @@ def test_split_sums_equal_per_term_binomials(n):
     c_small = int(math.floor(math.log(n)))
     c_mid = 9 * n // 10
     mid_range, tail_range = range(c_small + 1, c_mid + 1), range(c_mid + 1, n)
+    small = sum(
+        labeled_profile_bound(c, k, ell, n) * embedding_bound(c, k, n) * up[c]
+        for c in range(c_small + 1)
+        for k in range(min(c, n - c) + 1)
+        for ell in range(max(0, 2 * k - c), k + 1)
+    )
     mid = _split_sum(mid_range, n, fact, up)
     tail = _split_sum(tail_range, n, fact, up)
+    assert secondmoment._small_sum(c_small, n, fact, up) == small
     assert secondmoment._split_sum(mid_range, n, fact, up) == mid
     assert secondmoment._split_sum(tail_range, n, fact, up) == tail
     common = fact[2 * n - 2]
-    assert s_sum_bounds(n)[1:] == (mid / common, tail / common)
+    assert s_sum_bounds(n) == (math.exp(-2) * (small / common), mid / common, tail / common)
 
 
 def _refuse(*args):
