@@ -12,7 +12,7 @@ command runs, and a command without orderings or float tables never
 imports numpy.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 PERMUTATION = "permutation"  # label models (core)
 REAL = "real"

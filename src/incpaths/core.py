@@ -87,8 +87,8 @@ def _is_one_to_m(labels: np.ndarray, m: int) -> bool:
     return bool(seen[1:].all())
 
 
-#: Labels per block in the real check and the tie repair, so that their
-#: temporaries stay the same size whatever m is.
+#: Labels per block in the real check, so that its temporaries stay the
+#: same size whatever m is.
 _BLOCK = 1 << 14
 
 
@@ -199,68 +199,6 @@ class EdgeOrdering:
         return sorted_us[1:], sorted_vs[1:]
 
 
-def _find_tie_repairs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The label changes that make a real draw pairwise distinct and
-    strictly inside (0,1), found from the draw sorted ascending, ``ranked``,
-    which is repaired in place and checked.
-
-    A label is first lifted to at least the smallest positive double.  Ties
-    are broken by perturbing the higher-edge-index label upward by the
-    smallest representable increment: the lower edge index comes first
-    within each tie group, as in a stable sort, so the bump lands on the
-    higher one.  Bumps that reach 1.0 are walked back down from the top, so
-    a tie at the largest double below 1 lowers the lower-index label instead.
-
-    Both walks act on the sorted bit patterns b, which order as positive
-    doubles do, one pattern per ulp.  Upward, c[i] = max(b[i], c[i-1] + 1)
-    = i + cummax(b[j] - j).  Downward, d[i] = min(c[i], d[i+1] - 1) from
-    d[m] = bits(1.0); as c[i] - i never falls, d[i] = min(c[i], bits(1.0) - m + i).
-    Both run a block at a time, and only the positions whose value moves
-    are kept.
-
-    Returns (values, ranks, repaired): the edge that is ranks[j]-th, from
-    0 in ascending edge index, among those whose lifted label is values[j]
-    takes the label repaired[j].
-    """
-    ceiling = np.float64(1.0).view(np.int64) - len(ranked)
-    carry = np.iinfo(np.int64).min  # c - i at the previous block's end
-    moved, repaired = [], []
-    for start in range(0, len(ranked), _BLOCK):
-        block = ranked[start : start + _BLOCK]
-        np.maximum(block, np.nextafter(0.0, 1.0), out=block)
-        index = np.arange(start, start + len(block))
-        walk = block.view(np.int64) - index  # b - i, then c - i, then d - i
-        np.maximum.accumulate(walk, out=walk)
-        np.maximum(walk, carry, out=walk)
-        carry = walk[-1]
-        np.minimum(walk, ceiling, out=walk)
-        walk += index
-        at = np.flatnonzero(walk != block.view(np.int64))
-        moved.append(at + start)
-        repaired.append(walk[at].view(np.float64))
-    moved = np.concatenate(moved)
-    values = ranked[moved]
-    ranks = moved - np.searchsorted(ranked, values)
-    repaired = np.concatenate(repaired)
-    ranked[moved] = repaired
-    _check_real(ranked)
-    return values, ranks, repaired
-
-
-def _apply_tie_repairs(
-    labels: np.ndarray, values: np.ndarray, ranks: np.ndarray, repaired: np.ndarray
-) -> None:
-    """Apply ``_find_tie_repairs``' changes to the draw ``labels``, in edge
-    order, through one m-byte mask refilled for each tie group."""
-    np.maximum(labels, np.nextafter(0.0, 1.0), out=labels)
-    mask = np.empty(len(labels), dtype=bool)
-    edges = np.empty(len(values), dtype=np.int64)
-    for value in np.unique(values):  # find every group before any changes
-        group = values == value
-        edges[group] = np.flatnonzero(np.equal(labels, value, out=mask))[ranks[group]]
-    labels[edges] = repaired
-
-
 def _check_size(n: int, model: str) -> None:
     """Reject an ordering request before its n(n-1)/2 labels are allocated."""
     if n < 2:
@@ -269,11 +207,10 @@ def _check_size(n: int, model: str) -> None:
         raise ValueError(f"unknown label model {model!r}")
     if n > ORDERING_CAP:
         # one 8-byte label per edge, and for a permutation an m-byte check
-        # mask: 8m bytes real, 9m permutation (a real draw that needs a tie
-        # repair also holds a mask, 9m).  Calibrated on the max RSS rise of
-        # one random_ordering at n = 2000, 4000 and 8000: 15.4, 61.1 and
-        # 244.2 MiB real, against 15.3, 61.0 and 244.1 here, and 17.2, 68.7
-        # and 274.7 MiB permutation, against 17.2, 68.6 and 274.6.
+        # mask: 8m bytes real, 9m permutation.  Calibrated on the max RSS
+        # rise of one random_ordering at n = 2000, 4000 and 8000: 15.4, 61.1
+        # and 244.2 MiB real, against 15.3, 61.0 and 244.1 here, and 17.2,
+        # 68.7 and 274.7 MiB permutation, against 17.2, 68.6 and 274.6.
         mem = (9 if model == PERMUTATION else 8) * num_edges(n)
         raise CapacityError(
             f"orderings support n <= {ORDERING_CAP}, got n={n}; a {model} ordering "
@@ -285,12 +222,14 @@ def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering
     """Uniformly random edge ordering, deterministic given (n, seed, model).
 
     Each draw is checked for range and ties before it is used, and the
-    build holds one m-sized label array, plus an m-byte mask, at a time.  A
-    permutation draw is shifted to 1..m in place and checked by the
-    constructor.  A real draw is sorted in place and checked, then released
-    and drawn again from the same seed, in edge order, for the ordering to
-    keep.  A draw with a zero or a tie is repaired and checked while sorted,
-    and only its changed labels are kept to patch the second draw.
+    build holds one m-sized label array at a time, plus an m-byte mask for
+    a permutation.  A permutation draw is shifted to 1..m in place and
+    checked by the constructor.  A real draw is sorted in place and
+    checked, then released and drawn again from the same seed, in edge
+    order, for the ordering to keep.  A real draw with a zero or a tie is
+    rejected, and the next m values of the same stream take its place.
+    Whether a block is rejected depends only on its set of values, so the
+    accepted block's order is exactly uniform.
     """
     _check_size(n, model)
     m = num_edges(n)
@@ -298,18 +237,21 @@ def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering
         labels = np.random.default_rng(seed).permutation(m).astype(np.int64, copy=False)
         labels += 1
         return EdgeOrdering(n=n, model=model, labels=labels)
-    ranked = np.random.default_rng(seed).random(m)
-    ranked.sort()
-    try:
-        _check_real(ranked)
-        repairs = None
-    except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
-        repairs = _find_tie_repairs(ranked)
+    rng = np.random.default_rng(seed)
+    ranked = np.empty(m)
+    attempt = 0
+    while True:
+        rng.random(out=ranked)
+        ranked.sort()
+        try:
+            _check_real(ranked)
+            break
+        except ValueError:  # a zero or a tie: about 1 draw in 4500 at n=2000
+            attempt += 1
     del ranked
-    labels = np.random.default_rng(seed).random(m)
-    if repairs is not None:
-        _apply_tie_repairs(labels, *repairs)
-    return EdgeOrdering._unchecked(n, model, labels)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(attempt * m)  # PCG64 spends one output a double
+    return EdgeOrdering._unchecked(n, model, rng.random(m))
 
 
 def matching_ordering(n: int) -> EdgeOrdering:

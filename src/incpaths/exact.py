@@ -39,8 +39,9 @@ def _check_cap(n: int) -> None:
         # 56.7 rows (80, 177 and 404 MiB), against 56, 58 and 60 rows here.
         mem = (2 * n + 20) * (1 << n) * _count_width(n) / 8
         raise CapacityError(
-            f"n={n} exceeds cap {DEFAULT_CAP}; raising the cap needs about "
-            f"{mem / 2**20:.0f} MiB of state to count paths"
+            f"n={n} exceeds cap {DEFAULT_CAP} of the exact DPs, which counting sets "
+            f"and existence and the longest path share; counting at n={n} needs "
+            f"about {mem / 2**20:.0f} MiB of state"
         )
 
 

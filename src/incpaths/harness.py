@@ -400,8 +400,9 @@ def _cmd_worstcase(params, threads):
         "refusal_max_length": ref_max,
     }
     if n <= exact.DEFAULT_CAP:
-        results["longest_increasing_path"] = exact.longest_increasing_path_len(ordering)
-        results["has_increasing_ham_path"] = bool(exact.has_increasing_ham_path(ordering))
+        longest = exact.longest_increasing_path_len(ordering)  # in edges
+        results["longest_increasing_path"] = longest
+        results["has_increasing_ham_path"] = longest == n - 1
     return results
 
 

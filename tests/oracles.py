@@ -33,9 +33,10 @@ def to_permutation_model(ordering):
 
 
 def _detie_real(labels):
-    """Make real labels pairwise distinct and strictly inside (0,1): the
-    vectorised whole-array repair that ``core.random_ordering`` replaced with
-    its block-by-block walk over the sorted draw.
+    """Make real labels pairwise distinct and strictly inside (0,1), the
+    near-tie inputs of the exact tests: the whole-array repair that
+    ``core.random_ordering`` once ran on a draw with a zero or a tie, which
+    it now rejects.
 
     Ties are broken by perturbing the higher-edge-index label upward by the
     smallest representable increment; a stable sort puts the lower edge

@@ -102,34 +102,40 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
-class FaultyRng:
-    """Stands in for ``np.random.default_rng(seed)``: ``random`` returns a
-    fresh copy of a fixed draw, as each call on a new generator from the
-    same seed would."""
+class QueuedRng:
+    """Stands in for ``np.random.default_rng(seed)``: its stream is the
+    given draws end to end, and each new generator reads it from the start,
+    as each new generator from the same seed would."""
 
-    def __init__(self, draw):
-        self.draw = np.asarray(draw, dtype=np.float64)
+    def __init__(self, stream):
+        self.stream = stream
+        self.position = 0
+        self.bit_generator = self  # for advance
 
-    def random(self, m):
-        assert m == len(self.draw)
-        return self.draw.copy()
+    def advance(self, delta):
+        self.position += delta
+
+    def random(self, size=None, out=None):
+        m = len(out) if out is not None else size
+        block = self.stream[self.position : self.position + m]
+        assert len(block) == m, "the draw ran past the queued stream"
+        self.position += m
+        if out is None:
+            return block.copy()
+        out[...] = block
+        return out
 
 
-def build_from_draw(monkeypatch, n, draw):
-    """random_ordering(n, ...) of the real model, drawing ``draw``."""
-    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: FaultyRng(draw))
+def queue_draws(monkeypatch, *draws):
+    """Make every generator ``random_ordering`` makes draw ``draws`` in turn."""
+    stream = np.concatenate([np.asarray(draw, dtype=np.float64) for draw in draws])
+    monkeypatch.setattr(core.np.random, "default_rng", lambda seed: QueuedRng(stream))
+
+
+def build_from_draws(monkeypatch, n, *draws):
+    """random_ordering(n, ...) of the real model, drawing ``draws`` in turn."""
+    queue_draws(monkeypatch, *draws)
     return random_ordering(n, 0, core.REAL).labels
-
-
-def test_random_real_labels_are_the_detied_draw(monkeypatch):
-    # construction accepts a draw without zeros or ties as it is, which is
-    # what _detie_real returns for it
-    for seed in range(20):
-        raw = np.random.default_rng(seed).random(num_edges(30))
-        assert np.array_equal(random_ordering(30, seed, core.REAL).labels, _detie_real(raw))
-    # a draw with a zero and a tie is rejected at construction and detied
-    draw = np.array([0.5, 0.0, 0.5])
-    assert np.array_equal(build_from_draw(monkeypatch, 3, draw), _detie_real(draw))
 
 
 def _seeded_draw(n, seed, model):
@@ -198,54 +204,100 @@ _FAULTS = {
     "two zeros": [0.0, 0.0],
     "2-way tie": [0.5, 0.5],
     "3-way tie": [0.75, 0.75, 0.75],
-    # each bump lands on the next value, which is bumped in turn
-    "one-ulp cascade": [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0))],
+    # a tie among one-ulp neighbours
+    "one-ulp run": [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0))],
     "top tie": [_TOP, _TOP],
     "3-way top tie": [_TOP, _TOP, _TOP],
-    # the bump onto the top double is walked back down, so the lower-index
-    # label steps one ulp below
     "below-top tie": [_BELOW_TOP, _BELOW_TOP, _TOP],
 }
+
+
+def _faulty(rng, m, fault):
+    """A draw of m values from ``rng`` with ``fault`` put at random positions."""
+    draw = rng.random(m)
+    values = _FAULTS[fault][:m]
+    draw[rng.permutation(m)[: len(values)]] = values
+    return draw
 
 
 @pytest.mark.parametrize("fault", list(_FAULTS))
 @pytest.mark.parametrize("n", [3, 7, 30])
 @pytest.mark.parametrize("block", [core._BLOCK, 2], ids=["default-block", "block-2"])
-def test_tie_repair_equals_the_loop(monkeypatch, n, fault, block):
-    # block 2 puts tie groups and cascades across block boundaries
+def test_random_real_rejects_each_fault(monkeypatch, n, fault, block):
+    # block 2 puts ties across the check's block boundaries
     monkeypatch.setattr(core, "_BLOCK", block)
     m = num_edges(n)
-    rng = np.random.default_rng(n)  # made before build_from_draw patches numpy
+    rng = np.random.default_rng(n)  # made before build_from_draws patches numpy
     for _ in range(5):
-        draw = rng.random(m)
-        values = _FAULTS[fault][:m]
-        draw[rng.permutation(m)[: len(values)]] = values
-        labels = build_from_draw(monkeypatch, n, draw)
-        assert np.array_equal(labels.view(np.int64), detie_real_loop(draw).view(np.int64))
+        clean = rng.random(m)
+        labels = build_from_draws(monkeypatch, n, _faulty(rng, m, fault),
+                                  _faulty(rng, m, fault), clean, rng.random(m))
+        assert np.array_equal(labels.view(np.int64), clean.view(np.int64))
 
 
-def test_tie_repair_holds_one_label_array_and_a_mask(monkeypatch):
+def test_random_real_rejection_holds_one_label_array(monkeypatch):
     n = 1000
     m = num_edges(n)
-    draw = np.random.default_rng(1).random(m)
-    draw[[3, m // 2, m - 1, 11]] = draw[[m - 2, 7, 0, 7]]  # 2-way and 3-way ties
-    draw[5] = 0.0
-    build_from_draw(monkeypatch, 3, [0.5, 0.0, 0.5])  # first-call setup is not the build's
-    peak = traced_peak(lambda: build_from_draw(monkeypatch, n, draw))
-    # the draw, then the labels and an m-byte mask; the whole-array
-    # repair this replaced took about 40 bytes a label
-    assert peak < 9.5 * m
-    assert np.array_equal(build_from_draw(monkeypatch, n, draw), _detie_real(draw))
+    rng = np.random.default_rng(1)
+    tied, clean = rng.random(m), rng.random(m)
+    tied[[3, m // 2, m - 1, 11]] = tied[[m - 2, 7, 0, 7]]  # 2-way and 3-way ties
+    tied[5] = 0.0
+    build_from_draws(monkeypatch, 3, [0.5, 0.0, 0.5], [0.5, 0.25, 0.75])  # first-call setup
+    queue_draws(monkeypatch, tied, clean)
+    labels = []
+    peak = traced_peak(lambda: labels.append(random_ordering(n, 0, core.REAL).labels))
+    # the draws are checked in one buffer, released, and the kept block
+    # drawn: one m-sized array at a time.  A second would be 16 bytes a label
+    assert peak < 8.5 * m
+    assert np.array_equal(labels[0], clean)
 
 
-@pytest.mark.parametrize("draw", [
-    [0.5, 0.0, 0.25],  # a zero
-    [0.5, 0.25, 0.5],  # a tie
-    [0.5, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],  # a tie at the top double
-])
-def test_random_real_detie_each_fault(monkeypatch, draw):
-    labels = build_from_draw(monkeypatch, 3, draw)
-    assert np.array_equal(labels, _detie_real(np.array(draw)))
+# zeros and negatives, subnormals, one-ulp neighbours and the top doubles
+_DETIE_GRID = [-0.5, -0.0, 0.0, 5e-324, 1e-323, float(np.nextafter(0.25, 0.0)), 0.25,
+               _QUARTER_UP, 0.5, _BELOW_TOP, _TOP]
+_DRAW_GRID = _DETIE_GRID[2:]  # the values a generator of [0,1) can return
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.one_of(st.sampled_from(_DRAW_GRID), st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=num_edges(n),
+                max_size=num_edges(n),
+            ),
+        )
+    ),
+    st.sampled_from([core._BLOCK, 1, 2, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_random_real_keeps_a_draw_exactly_when_it_has_no_zero_or_tie(n_and_draw, block):
+    n, draw = n_and_draw
+    m = num_edges(n)
+    draw = np.array(draw, dtype=np.float64)
+    clean = np.arange(1, m + 1) / (m + 1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(core, "_BLOCK", block)
+        labels = build_from_draws(monkeypatch, n, draw, clean)
+    kept = draw.min() > 0 and len(set(draw.tolist())) == m
+    assert np.array_equal(labels.view(np.int64), (draw if kept else clean).view(np.int64))
+
+
+@pytest.mark.slow
+def test_random_real_natural_tie_takes_the_next_block():
+    n, seed, chunk = 8000, 3, 1 << 20
+    m = num_edges(n)
+    rng = np.random.default_rng(seed)
+    first = rng.random(m)
+    first.sort()
+    assert first[0] == 0 or np.any(first[1:] == first[:-1])  # seed 3 ties at n = 8000
+    del first
+    labels = random_ordering(n, seed, core.REAL).labels
+    # the second m-block, drawn on in chunks after the first
+    for start in range(0, m, chunk):
+        block = rng.random(min(chunk, m - start))
+        assert np.array_equal(labels[start : start + len(block)], block)
 
 
 def test_detie_breaks_exact_ties_upward():
@@ -276,11 +328,6 @@ def assert_detie_matches_loop(labels):
     fixed, expected = _detie_real(labels), detie_real_loop(labels)
     assert fixed.dtype == np.float64
     assert np.array_equal(fixed.view(np.int64), expected.view(np.int64))
-
-
-# zeros and negatives, subnormals, one-ulp neighbours and the top doubles
-_DETIE_GRID = [-0.5, -0.0, 0.0, 5e-324, 1e-323, float(np.nextafter(0.25, 0.0)), 0.25,
-               _QUARTER_UP, 0.5, _BELOW_TOP, _TOP]
 
 
 @pytest.mark.parametrize(
@@ -315,29 +362,6 @@ def test_detie_matches_loop_on_crafted_arrays(labels):
 @settings(max_examples=300, deadline=None)
 def test_detie_matches_loop_on_fuzzed_arrays(labels):
     assert_detie_matches_loop(labels)
-
-
-@given(
-    st.integers(2, 8).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.one_of(st.sampled_from(_DETIE_GRID), st.floats(0.0, 1.0, exclude_max=True)),
-                min_size=num_edges(n),
-                max_size=num_edges(n),
-            ),
-        )
-    ),
-    st.sampled_from([core._BLOCK, 1, 2, 3]),
-)
-@settings(max_examples=300, deadline=None)
-def test_tie_repair_matches_loop_on_fuzzed_draws(n_and_draw, block):
-    n, draw = n_and_draw
-    draw = np.array(draw, dtype=np.float64)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(core, "_BLOCK", block)
-        labels = build_from_draw(monkeypatch, n, draw)
-    assert np.array_equal(labels.view(np.int64), detie_real_loop(draw).view(np.int64))
 
 
 def endpoints_by_label(ordering):

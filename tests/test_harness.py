@@ -233,6 +233,19 @@ def test_worstcase_command_deterministic():
     assert a.results["has_increasing_ham_path"] is False
 
 
+@pytest.mark.parametrize("n, has_ham_path", [(2, True), (8, False)])
+def test_worstcase_reads_existence_off_the_longest_path(n, has_ham_path, monkeypatch):
+    harness._import_layers(("exact",))
+
+    def refuse(ordering):
+        raise AssertionError("worstcase runs one DP, the longest path's")
+
+    monkeypatch.setattr(harness.exact, "has_increasing_ham_path", refuse)
+    results = run(ExperimentConfig(command="worstcase", n=n)).results
+    assert results["longest_increasing_path"] == (n - 1 if has_ham_path else n - 2)
+    assert results["has_increasing_ham_path"] is has_ham_path
+
+
 def test_report_written_to_file(tmp_path):
     out = tmp_path / "report.json"
     run(ExperimentConfig(command="greedy-sim", n=40, trials=3, seed=0, out=str(out)))
@@ -250,6 +263,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_hamprob_past_the_dp_cap_exits_3_naming_the_counting_dp(capsys):
+    # hamprob runs the 1-bit existence DP, whose cap the counting DP sets
+    assert main(["hamprob", "--n", "21"]) == 3
+    err = capsys.readouterr().err
+    assert "n=21 exceeds cap 20 of the exact DPs, which counting sets" in err
+    assert "existence and the longest path share" in err
 
 
 @pytest.mark.parametrize(
