@@ -79,6 +79,21 @@ def detie_real_loop(labels):
     return labels
 
 
+def redraw_real_loop(draws):
+    """The first of the consecutive m-value ``draws`` with no zero and no
+    tie, found value by value: the real labels ``core.random_ordering``
+    keeps when it rejects and redraws."""
+    for draw in draws:
+        seen = set()
+        for x in draw:
+            if x <= 0.0 or x in seen:
+                break
+            seen.add(x)
+        else:
+            return np.asarray(draw, dtype=np.float64)
+    raise AssertionError("every draw holds a zero or a tie")
+
+
 def interleaving_extension_count_reference(match) -> int:
     """Linear extensions of a matched path pair (``secondmoment._match_pair``)
     by an interleaving DP over prefix pairs (i, j), the reference for

@@ -17,7 +17,13 @@ from incpaths.core import (
     num_edges,
     random_ordering,
 )
-from oracles import _detie_real, detie_real_loop, is_increasing, to_permutation_model
+from oracles import (
+    _detie_real,
+    detie_real_loop,
+    is_increasing,
+    redraw_real_loop,
+    to_permutation_model,
+)
 
 
 def longest_increasing_walk_exhaustive(ordering):
@@ -204,8 +210,9 @@ _FAULTS = {
     "two zeros": [0.0, 0.0],
     "2-way tie": [0.5, 0.5],
     "3-way tie": [0.75, 0.75, 0.75],
-    # a tie among one-ulp neighbours
-    "one-ulp run": [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0))],
+    # a tie inside a run of one-ulp neighbours: no label of the run can
+    # move one ulp without landing on another
+    "one-ulp cascade": [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0))],
     "top tie": [_TOP, _TOP],
     "3-way top tie": [_TOP, _TOP, _TOP],
     "below-top tie": [_BELOW_TOP, _BELOW_TOP, _TOP],
@@ -223,16 +230,18 @@ def _faulty(rng, m, fault):
 @pytest.mark.parametrize("fault", list(_FAULTS))
 @pytest.mark.parametrize("n", [3, 7, 30])
 @pytest.mark.parametrize("block", [core._BLOCK, 2], ids=["default-block", "block-2"])
-def test_random_real_rejects_each_fault(monkeypatch, n, fault, block):
+def test_tie_repair_equals_the_loop(monkeypatch, n, fault, block):
     # block 2 puts ties across the check's block boundaries
     monkeypatch.setattr(core, "_BLOCK", block)
     m = num_edges(n)
     rng = np.random.default_rng(n)  # made before build_from_draws patches numpy
     for _ in range(5):
         clean = rng.random(m)
-        labels = build_from_draws(monkeypatch, n, _faulty(rng, m, fault),
-                                  _faulty(rng, m, fault), clean, rng.random(m))
-        assert np.array_equal(labels.view(np.int64), clean.view(np.int64))
+        draws = [_faulty(rng, m, fault), _faulty(rng, m, fault), clean, rng.random(m)]
+        labels = build_from_draws(monkeypatch, n, *draws)
+        expected = redraw_real_loop(draws)
+        assert np.array_equal(expected, clean)  # both faulty draws are rejected
+        assert np.array_equal(labels.view(np.int64), expected.view(np.int64))
 
 
 def test_random_real_rejection_holds_one_label_array(monkeypatch):
@@ -272,7 +281,8 @@ _DRAW_GRID = _DETIE_GRID[2:]  # the values a generator of [0,1) can return
     st.sampled_from([core._BLOCK, 1, 2, 3]),
 )
 @settings(max_examples=300, deadline=None)
-def test_random_real_keeps_a_draw_exactly_when_it_has_no_zero_or_tie(n_and_draw, block):
+def test_tie_repair_matches_loop_on_fuzzed_draws(n_and_draw, block):
+    # a draw is kept exactly when it has no zero and no tie
     n, draw = n_and_draw
     m = num_edges(n)
     draw = np.array(draw, dtype=np.float64)
@@ -280,8 +290,8 @@ def test_random_real_keeps_a_draw_exactly_when_it_has_no_zero_or_tie(n_and_draw,
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(core, "_BLOCK", block)
         labels = build_from_draws(monkeypatch, n, draw, clean)
-    kept = draw.min() > 0 and len(set(draw.tolist())) == m
-    assert np.array_equal(labels.view(np.int64), (draw if kept else clean).view(np.int64))
+    expected = redraw_real_loop([draw, clean])
+    assert np.array_equal(labels.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.slow
