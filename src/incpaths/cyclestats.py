@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import FLOAT, RATIONAL, CapacityError
 
-if TYPE_CHECKING:
-    import numpy as np
+# the ``np.ndarray`` annotations below are never evaluated (PEP 563): numpy
+# is imported only inside the functions that run it
 
 RATIONAL_CAP = 200
 FLOAT_CAP = 5000
@@ -57,14 +56,8 @@ _CHUNK_SEATS = 1 << 22
 _BLOCK_SEATS = 1 << 16
 
 
-@dataclass(frozen=True)
-class CycleLengthTable:
-    """pmf[s] = Pr[L_k = s] and cdf[s] = Pr[L_k <= s], for s = 0..k."""
-
-    k: int
-    precision: str
-    pmf: tuple
-    cdf: tuple
+CycleLengthTable = namedtuple("CycleLengthTable", "k precision pmf cdf")
+CycleLengthTable.__doc__ = """pmf[s] = Pr[L_k = s] and cdf[s] = Pr[L_k <= s], for s = 0..k."""
 
 
 def _check_k(k: int, precision: str) -> None:

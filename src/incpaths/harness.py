@@ -41,7 +41,6 @@ ordering per trial (``cycles-mc`` too), and reported in ``meta``.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import json
 import math
@@ -50,10 +49,9 @@ import re
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from . import EXHAUST, FLOAT, PERMUTATION, RATIONAL, REAL, CapacityError, __version__
 
@@ -98,19 +96,17 @@ def _peak_rss_mb() -> float:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
 
 
-@dataclass
 class ExperimentConfig:
-    command: str
-    n: int | None = None
-    k: int | None = None
-    trials: int | None = None
-    seed: int = 0
-    model: str | None = None
-    mode: str | None = None
-    precision: str | None = None
-    out: str | None = None
-    threads: int = 1
-    emit_raw: bool = False
+    """One run's command and options, as the CLI parses them; None leaves a
+    parameter at the command's default."""
+
+    def __init__(self, command: str, n: int | None = None, k: int | None = None,
+                 trials: int | None = None, seed: int = 0, model: str | None = None,
+                 mode: str | None = None, precision: str | None = None,
+                 out: str | None = None, threads: int = 1, emit_raw: bool = False):
+        self.command, self.n, self.k, self.trials, self.seed = command, n, k, trials, seed
+        self.model, self.mode, self.precision = model, mode, precision
+        self.out, self.threads, self.emit_raw = out, threads, emit_raw
 
     def resolved(self) -> dict:
         """Command defaults filled in; returns the config echo dict.
@@ -148,13 +144,15 @@ class ExperimentConfig:
         return params
 
 
-@dataclass
 class Report:
-    config: dict
-    results: dict
-    version: str = __version__
-    prng: str = field(default_factory=_prng_name)
-    meta: dict = field(default_factory=dict)
+    """A run's reproducible config/results block, with the version and prng
+    that fix it, and its ``meta`` block (the prng is read when not given)."""
+
+    def __init__(self, config: dict, results: dict, version: str = __version__,
+                 prng: str | None = None, meta: dict | None = None):
+        self.config, self.results, self.version = config, results, version
+        self.prng = _prng_name() if prng is None else prng
+        self.meta = {} if meta is None else meta
 
     def to_dict(self) -> dict:
         return {
@@ -406,7 +404,7 @@ def _cmd_worstcase(params, threads):
     return results
 
 
-class Command(NamedTuple):
+class Command(namedtuple("Command", "defaults impl layers optional rows", defaults=((), None))):
     """One CLI command: its default parameters, the function
     ``impl(params, threads)`` that returns its results block, the
     layers it runs (module names for ``_import_layers``, or a function of
@@ -415,11 +413,7 @@ class Command(NamedTuple):
     function ``rows(results)`` that maps its results block to the CSV rows
     an ``out`` ending in .csv receives."""
 
-    defaults: dict
-    impl: Callable
-    layers: tuple | Callable
-    optional: tuple = ()
-    rows: Callable | None = None
+    __slots__ = ()
 
 
 COMMANDS = {
@@ -486,6 +480,8 @@ def run(config: ExperimentConfig) -> Report:
         try:
             with open(config.out, "w", newline="") as fh:
                 if config.out.endswith(".csv"):
+                    import csv
+
                     rows = command.rows(results)
                     writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
                     writer.writeheader()
@@ -503,21 +499,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="incpaths",
         description="Experiments on increasing paths in randomly edge-ordered complete graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None,
-                       help="look-ahead size / table size / partial-sum cutoff")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--model", choices=["perm", "real"], default=None)
-        p.add_argument("--mode", choices=["strict", "exhaust"], default=None)
-        p.add_argument("--precision", choices=["rational", "float"], default=None)
-        p.add_argument("--out", type=str, default=None,
-                       help="report path; .csv selects the tabular export where available")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--emit-raw", action="store_true")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help=f"one of {', '.join(COMMANDS)}")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--k", type=int, help="look-ahead size / table size / partial-sum cutoff")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--model", choices=["perm", "real"])
+    parser.add_argument("--mode", choices=["strict", "exhaust"])
+    parser.add_argument("--precision", choices=["rational", "float"])
+    parser.add_argument("--out", help="report path; .csv selects the tabular export where available")
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--emit-raw", action="store_true")
     return parser
 
 

@@ -45,7 +45,7 @@ and sum_k a_k (n-c-k)! runs by Horner's rule too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, permutations
 from operator import mul
@@ -60,28 +60,12 @@ BOUNDS_CAP = 15000
 CONSTANT_C_CAP = 70000
 
 
-@dataclass(frozen=True, order=True)
-class ProfileSignature:
-    """Intersection profile of an ordered pair of Hamiltonian paths:
-    c shared edges forming k maximal segments, ell of them single edges."""
-
-    c: int
-    k: int
-    ell: int
-
-
-@dataclass(frozen=True)
-class CensusClass:
-    pair_count: int
-    mass: int  # summed linear-extension counts over the class's pairs
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    n: int
-    first_moment: Fraction
-    second_moment: Fraction
-    census: dict
+ProfileSignature = namedtuple("ProfileSignature", "c k ell")
+ProfileSignature.__doc__ = """Intersection profile of an ordered pair of Hamiltonian paths:
+c shared edges forming k maximal segments, ell of them single edges."""
+# mass: the summed linear-extension counts over the class's pairs
+CensusClass = namedtuple("CensusClass", "pair_count mass")
+MomentReport = namedtuple("MomentReport", "n first_moment second_moment census")
 
 
 def _check_hamiltonian(seq, n=None):

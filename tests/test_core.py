@@ -17,13 +17,7 @@ from incpaths.core import (
     num_edges,
     random_ordering,
 )
-from oracles import (
-    _detie_real,
-    detie_real_loop,
-    is_increasing,
-    redraw_real_loop,
-    to_permutation_model,
-)
+from oracles import is_increasing, redraw_real_loop, to_permutation_model
 
 
 def longest_increasing_walk_exhaustive(ordering):
@@ -261,10 +255,10 @@ def test_random_real_rejection_holds_one_label_array(monkeypatch):
     assert np.array_equal(labels[0], clean)
 
 
-# zeros and negatives, subnormals, one-ulp neighbours and the top doubles
-_DETIE_GRID = [-0.5, -0.0, 0.0, 5e-324, 1e-323, float(np.nextafter(0.25, 0.0)), 0.25,
-               _QUARTER_UP, 0.5, _BELOW_TOP, _TOP]
-_DRAW_GRID = _DETIE_GRID[2:]  # the values a generator of [0,1) can return
+# values a generator of [0,1) can return: zero, subnormals, one-ulp
+# neighbours and the top doubles
+_DRAW_GRID = [0.0, 5e-324, 1e-323, float(np.nextafter(0.25, 0.0)), 0.25, _QUARTER_UP, 0.5,
+              _BELOW_TOP, _TOP]
 
 
 @given(
@@ -308,70 +302,6 @@ def test_random_real_natural_tie_takes_the_next_block():
     for start in range(0, m, chunk):
         block = rng.random(min(chunk, m - start))
         assert np.array_equal(labels[start : start + len(block)], block)
-
-
-def test_detie_breaks_exact_ties_upward():
-    labels = np.array([0.5, 0.25, 0.5, 0.0, 0.25])
-    fixed = _detie_real(labels)
-    assert len(set(fixed)) == len(fixed)
-    assert all(0.0 < x < 1.0 for x in fixed)
-    # lower edge index keeps the sampled value, higher one is bumped up
-    assert fixed[0] == 0.5 and fixed[2] == np.nextafter(0.5, 1.0)
-    assert fixed[1] == 0.25 and fixed[4] == np.nextafter(0.25, 1.0)
-
-
-def test_detie_breaks_a_tie_at_the_top_double_downward():
-    top = np.nextafter(1.0, 0.0)
-    fixed = _detie_real(np.array([0.5, top, top]))
-    assert len(set(fixed)) == len(fixed)
-    assert all(0.0 < x < 1.0 for x in fixed)
-    # the higher edge index keeps the top double, the lower one steps down
-    assert fixed[0] == 0.5 and fixed[1] == np.nextafter(top, 0.0) and fixed[2] == top
-    EdgeOrdering(n=3, model=core.REAL, labels=fixed)
-    fixed = _detie_real(np.array([top, top, top, np.nextafter(top, 0.0)]))
-    assert len(set(fixed)) == 4 and fixed.max() == top
-    assert list(np.argsort(fixed, kind="stable")) == [3, 0, 1, 2]
-
-
-def assert_detie_matches_loop(labels):
-    labels = np.array(labels, dtype=np.float64)
-    fixed, expected = _detie_real(labels), detie_real_loop(labels)
-    assert fixed.dtype == np.float64
-    assert np.array_equal(fixed.view(np.int64), expected.view(np.int64))
-
-
-@pytest.mark.parametrize(
-    "labels",
-    [
-        [],
-        [0.0],
-        [0.0] * 6,
-        [0.3] * 8,
-        [-0.0, -1.0, 0.0, 5e-324, 5e-324],
-        [0.5, 0.25, 0.5, 0.0, 0.25],
-        # a one-ulp cascade: each bump lands on the next sampled value
-        [0.25, 0.25, _QUARTER_UP, float(np.nextafter(_QUARTER_UP, 1.0)), 0.25, 0.5],
-        [_TOP] * 5,
-        [0.5, _TOP, _TOP],
-        [_TOP, _TOP, _TOP, _BELOW_TOP],
-        # the downward walk passes the top ties and stops above 0.1
-        [_TOP, _BELOW_TOP, _TOP, _BELOW_TOP, _TOP, 0.1, 0.1],
-    ],
-)
-def test_detie_matches_loop_on_crafted_arrays(labels):
-    assert_detie_matches_loop(labels)
-
-
-@given(
-    st.lists(
-        st.one_of(st.sampled_from(_DETIE_GRID), st.floats(0.0, 1.0, exclude_max=True)),
-        min_size=1,
-        max_size=60,
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_detie_matches_loop_on_fuzzed_arrays(labels):
-    assert_detie_matches_loop(labels)
 
 
 def endpoints_by_label(ordering):

@@ -26,20 +26,21 @@ from incpaths.exact import (
 )
 from incpaths.kgreedy import MODES, k_greedy_path
 from incpaths.secondmoment import exact_moments
-from oracles import _detie_real, is_increasing, is_path
+from oracles import is_increasing, is_path
 
-# a coarse grid with exact ties, one-ulp neighbours and the zero label
-# that _detie_real lifts into (0,1)
-LABEL_GRID = [
-    0.0,
-    5e-324,
-    0.125,
-    float(np.nextafter(0.25, 0.0)),
-    0.25,
-    float(np.nextafter(0.25, 1.0)),
-    0.5,
-    0.875,
-]
+# a coarse grid whose repeats become one-ulp ladders (ladder_labels); the
+# ladder above zero runs through the subnormals
+LABEL_GRID = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.875]
+
+
+def ladder_labels(grid_labels):
+    """Distinct labels in (0,1) near ties: the r-th occurrence of a grid
+    value g becomes g raised r ulps, so each value's repeats climb a
+    one-ulp ladder that stays below the next grid value."""
+    rung = {}
+    for g in grid_labels:
+        rung[g] = float(np.nextafter(rung.get(g, g), 1.0))
+        yield rung[g]
 
 
 def all_orderings(n):
@@ -193,7 +194,7 @@ def test_dp_matches_brute_force_real_model():
 @settings(max_examples=150, deadline=None)
 def test_detied_grid_labels(n_and_labels, k, mode):
     n, grid_labels = n_and_labels
-    labels = _detie_real(np.array(grid_labels))
+    labels = np.fromiter(ladder_labels(grid_labels), dtype=np.float64)
     ordering = EdgeOrdering(n=n, model=core.REAL, labels=labels)
     assert longest_increasing_path_len(ordering) == brute_force_longest(ordering)
     path, _ = k_greedy_path(ordering, 0, k, mode)

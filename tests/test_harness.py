@@ -265,6 +265,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+_UNSET = {"n": None, "k": None, "trials": None, "seed": 0, "model": None, "mode": None,
+          "precision": None, "out": None, "threads": 1, "emit_raw": False}
+
+
+@pytest.mark.parametrize("name", list(harness.COMMANDS))
+def test_parser_takes_the_ten_options_for_each_command(name):
+    # the namespace main and perfbench/replay.py's experiment_config read
+    parse = harness.build_parser().parse_args
+    assert vars(parse([name])) == {"command": name, **_UNSET}
+    argv = [name, "--n", "7", "--k", "3", "--trials", "5", "--seed", "11", "--model", "real",
+            "--mode", "strict", "--precision", "float", "--out", "r.json", "--threads", "2",
+            "--emit-raw"]
+    assert vars(parse(argv)) == {"command": name, "n": 7, "k": 3, "trials": 5, "seed": 11,
+                                 "model": "real", "mode": "strict", "precision": "float",
+                                 "out": "r.json", "threads": 2, "emit_raw": True}
+
+
+@pytest.mark.parametrize("argv", [[], ["bounds", "--model", "gauss"], ["bounds", "--n", "x"]],
+                         ids=["no-command", "bad-choice", "bad-int"])
+def test_parser_exits_2_on_a_bad_argument(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        harness.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_hamprob_past_the_dp_cap_exits_3_naming_the_counting_dp(capsys):
     # hamprob runs the 1-bit existence DP, whose cap the counting DP sets
     assert main(["hamprob", "--n", "21"]) == 3
@@ -424,16 +450,20 @@ def test_cli_prints_json(capsys):
 
 
 # harness.main in a fresh interpreter: its exit code, whether numpy and
-# importlib.metadata were imported, and the report's prng identifier
+# importlib.metadata were imported, the report's prng identifier, and the
+# modules loaded beyond those the bare interpreter starts with
 _FRESH_MAIN = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)  # what this environment's site preloads
+import contextlib, io, json
 from incpaths.harness import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "metadata": "importlib.metadata" in sys.modules,
-                  "prng": json.loads(out.getvalue())["prng"]}))
+                  "prng": json.loads(out.getvalue())["prng"],
+                  "loaded": sorted(set(sys.modules) - bare)}))
 """
 
 _EXACT_ONLY = {
@@ -471,11 +501,14 @@ def test_each_command_imports_only_its_layers(argv, uses_numpy):
                            capture_output=True, text=True, timeout=60, check=True)
     seen = json.loads(child.stdout)
     metadata = seen.pop("metadata")
+    loaded = set(seen.pop("loaded"))
     assert seen == {"code": 0, "numpy": uses_numpy,
                     "prng": f"numpy-PCG64-{numpy.__version__}"}
     if not uses_numpy:
         # the prng version is read from numpy/version.py, not the slow metadata
         assert not metadata
+        # nor the dataclass machinery (inspect and all), typing or csv
+        assert not loaded & {"dataclasses", "inspect", "csv", "typing"}
 
 
 def test_missing_numpy_exits_2_with_one_error_line():
