@@ -16,15 +16,13 @@ candidate rows with a heap instead of visiting all m edges:
 
 * when a vertex first joins the tree, its row is gathered from the labels
   and the vertices off the path with a label above tau are sorted once.
-  The row keeps two ``array.array`` columns, indexed without building
-  numpy scalars: the targets, in the narrowest unsigned type that holds
-  n - 1 (uint8 up to n = 256, uint16 up to the ordering cap), and a uint16
-  key per target, floor(label * 2^16 / s) with s = 1 for real labels and
-  m + 1 for permutation labels, which is monotone in the label.  An entry
-  takes 3 or 4 bytes, not the 9 or 10 a float64 label would need;
-  when the vertex rejoins after its subtree was discarded, tau's position
-  in the row is found by bisecting the keys, then among the entries whose
-  key equals tau's (usually the committed edge's own) by their exact labels;
+  The row is one ``array.array`` of targets in ascending label order,
+  indexed without building numpy scalars, in the narrowest unsigned type
+  that holds n - 1 (uint8 up to n = 256, uint16 up to the ordering cap):
+  1 or 2 bytes an entry, not the 9 or 10 a float64 label beside its target
+  would need.  When the vertex rejoins after its subtree was discarded, it
+  bisects its row from its queued index for the first entry above tau,
+  reading each probed entry's exact label from the ordering;
 * the heap holds each tree vertex's next candidate as (label, vertex,
   row index), with the exact label read from the ordering as it is
   pushed, so commits, ties and tau are exact.  Targets on the path are
@@ -54,13 +52,13 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import EXHAUST, STRICT
-from .core import PERMUTATION, EdgeOrdering, _row_offsets, num_edges
+from .core import EdgeOrdering, _row_offsets
 
 MODES = (STRICT, EXHAUST)
 
@@ -123,12 +121,10 @@ def k_greedy_path(
     on_path = bytearray(n)
     on_path[v0] = True
     on_path_mask = np.frombuffer(on_path, dtype=bool)  # live view of on_path
-    # rows[x]: (keys, targets) of x's candidates in ascending label order,
-    # the vertices off the path with a label above tau at x's first join;
-    # keys[i] is floor(label * key_scale), monotone in the label
-    rows: dict[int, tuple[array, array]] = {}
+    # rows[x]: x's candidates in ascending label order, the vertices off
+    # the path with a label above tau at x's first join
+    rows: dict[int, array] = {}
     target_type = np.min_scalar_type(n - 1)
-    key_scale = 2.0**16 / (num_edges(n) + 1 if ordering.model == PERMUTATION else 1)
     labels = ordering.labels
     if not (labels.dtype.isnative and labels.dtype.char in "bBhHiIlLqQfd"):
         labels = labels.astype(np.float64)  # a dtype memoryview cannot index
@@ -160,7 +156,7 @@ def k_greedy_path(
 
     def queue_from(x, p):
         """Queue x's first candidate at index p or later that is off the path."""
-        targets = rows[x][1]
+        targets = rows[x]
         size = len(targets)
         while p < size and on_path[targets[p]]:
             p += 1
@@ -172,17 +168,12 @@ def k_greedy_path(
 
     def join(x):
         if x in rows:
-            keys, targets = rows[x]
-            key = int(tau * key_scale)  # truncated, as the rows' keys were
-            p = bisect_left(keys, key)
-            size = len(keys)
-            # keys below tau's hold labels below tau; equal keys need the labels
-            while p < size and keys[p] == key:
-                t = targets[p]
-                edge = offsets[x] + t if x < t else offsets[t] + x
-                if labels[edge] > tau:
-                    break
-                p += 1
+            # entries before pos[x] are on the path or were popped at a
+            # label no greater than tau, so the bisect can start there
+            o = offsets[x]
+            p = bisect_right(
+                rows[x], tau, pos[x], key=lambda t: labels[o + t if x < t else offsets[t] + x]
+            )
             queue_from(x, p)
             return
         row = ordering.row(x)
@@ -190,10 +181,7 @@ def k_greedy_path(
         keep[x] = False
         keep &= ~on_path_mask
         targets = np.flatnonzero(keep).astype(target_type)
-        row = row[targets]
-        order = np.argsort(row)
-        keys = (row[order] * key_scale).astype(np.uint16)
-        rows[x] = (_packed(keys), _packed(targets[order]))
+        rows[x] = _packed(targets[np.argsort(row[targets])])
         queue_from(x, 0)
 
     join(v0)
@@ -201,7 +189,7 @@ def k_greedy_path(
         label, attach, p = heapq.heappop(heap)
         if attach not in children or p != pos[attach]:
             continue  # attach left the tree, or moved on, after this entry was queued
-        child = rows[attach][1][p]
+        child = rows[attach][p]
         if on_path[child] or child in children:
             queue_from(attach, p + 1)
             continue

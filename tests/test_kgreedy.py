@@ -228,8 +228,8 @@ def test_matches_scan_reference_at_scale(k, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", [6, 20, 60])
 def test_matches_scan_reference_in_one_key_bucket(n, mode):
-    # real labels 0.5 + rank * 2^-40 all share the row key 2^15, so every
-    # rejoin finds tau among equal keys by the exact labels
+    # real labels 0.5 + rank * 2^-40, neighbours 2^-40 apart: a rejoin's
+    # bisect and every heap comparison separate them only by exact labels
     m = core.num_edges(n)
     for seed in range(3):
         ranks = np.random.default_rng(seed).permutation(m)
@@ -238,19 +238,25 @@ def test_matches_scan_reference_in_one_key_bucket(n, mode):
             assert_same_run_as_scan(ordering, seed, k, mode)
 
 
-@pytest.mark.parametrize("k", [1, 10, 50])
+@pytest.mark.parametrize("k", [1, 10, 50, 172])
 def test_matches_scan_reference_with_colliding_permutation_keys(k):
-    # m = 79800 labels over 2^16 keys: neighbouring labels share a key
+    # dense permutation labels 1..m (m = 79800), neighbours 1 apart, so a
+    # rejoin's bisect separates them only by exact comparison; k = 172
+    # rejoins most often
     for seed in range(2):
         assert_same_run_as_scan(random_ordering(400, seed), 0, k, EXHAUST)
 
 
-@pytest.mark.parametrize("k, bytes_per_edge", [(10, 6), (172, 12)])
-def test_candidate_rows_trace_little_memory(k, bytes_per_edge):
-    # calibrated on this ordering: rows of float64 labels and targets
-    # peaked at 8.61 and 20.66 bytes per edge at k = 10 and 172, rows of
-    # uint16 keys and targets at 4.07 and 9.32
-    ordering = random_ordering(400, 0, core.REAL)
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("k, bytes_per_edge", [(10, 3), (172, 6)])
+def test_candidate_rows_trace_little_memory(n, k, bytes_per_edge):
+    # calibrated on these orderings, whose rows hold uint8 targets at
+    # n = 200 and uint16 at n = 400: rows of targets alone peaked at 2.55
+    # and 5.41 bytes per edge at k = 10 and 172 for n = 200, and at 2.39
+    # and 5.23 for n = 400; a uint16 key per entry beside the targets
+    # peaked at 4.28, 9.92, 4.07 and 9.32, float64 labels at 8.61 and
+    # 20.66 (n = 400), so even a uint8 key per entry would cross the bound
+    ordering = random_ordering(n, 0, core.REAL)
     k_greedy_path(ordering, 0, k)  # first-call setup is not the run's
     tracemalloc.start()
     try:
@@ -258,7 +264,7 @@ def test_candidate_rows_trace_little_memory(k, bytes_per_edge):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bytes_per_edge * core.num_edges(400)
+    assert peak < bytes_per_edge * core.num_edges(n)
 
 
 @pytest.mark.parametrize("model, dtype", [(core.REAL, ">f8"), (core.REAL, "f2"), (core.PERMUTATION, ">i8")])
