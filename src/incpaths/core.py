@@ -9,7 +9,6 @@ supported: ``permutation`` (labels are a bijection onto 1..n(n-1)/2) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -103,7 +102,6 @@ def _check_real(ranked: np.ndarray) -> None:
             raise ValueError("tied real labels")
 
 
-@dataclass(frozen=True)
 class EdgeOrdering:
     """An edge ordering of K_n.
 
@@ -123,31 +121,37 @@ class EdgeOrdering:
     searches gather ``row``s, and the walks and the exact DPs read
     ``edges_by_label``.  ``matrix`` remains as the tests' and the
     benchmark replay's reference.
+
+    ``n``, ``model`` and ``labels`` cannot be reassigned, and ``labels``
+    is read-only.
     """
 
-    n: int
-    model: str
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n={self.n}")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown label model {self.model!r}")
-        m = num_edges(self.n)
-        if self.labels.shape != (m,):
+    def __init__(self, n: int, model: str, labels: np.ndarray):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got n={n}")
+        if model not in MODELS:
+            raise ValueError(f"unknown label model {model!r}")
+        m = num_edges(n)
+        if labels.shape != (m,):
             raise ValueError("label array length != n(n-1)/2")
-        if self.model == PERMUTATION:
-            if not _is_one_to_m(self.labels, m):
+        if model == PERMUTATION:
+            if not _is_one_to_m(labels, m):
                 raise ValueError(f"permutation labels must be exactly the integers 1..{m}")
         else:
-            _check_real(np.sort(self.labels))
-        self.labels.setflags(write=False)
+            _check_real(np.sort(labels))
+        self.__dict__.update(n=n, model=model, labels=labels)
+        labels.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: an EdgeOrdering is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: an EdgeOrdering is immutable")
 
     @classmethod
     def _unchecked(cls, n: int, model: str, labels: np.ndarray) -> EdgeOrdering:
         """An ordering of labels its caller has already checked, built
-        without ``__post_init__``.  Only ``random_ordering`` calls it."""
+        without the constructor's checks.  Only ``random_ordering`` calls it."""
         ordering = object.__new__(cls)
         ordering.__dict__.update(n=n, model=model, labels=labels)
         labels.setflags(write=False)

@@ -25,7 +25,7 @@ once at k_max.  k! is read off the counts as A_k(k), and a pmf row is the
 difference of its cdf row.
 
 numpy is imported by the float path and the sampler only, so the exact
-tables run without it.
+tables run without it; ``fractions`` only where a Fraction is returned.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
+from operator import truediv
 
 from . import FLOAT, RATIONAL, CapacityError
 
@@ -93,20 +93,22 @@ def _count_rows(k: int) -> list[list[int]]:
     return rows
 
 
-def _exact_alpha(counts: list[int]) -> Fraction:
-    """alpha_k from count row k, summed by parts: sum_i Pr[L_k <= i] / i,
-    each term an integer over k! D with D = lcm(1..k)."""
+def _exact_alpha(counts: list[int]) -> tuple[int, int]:
+    """alpha_k from count row k as (numerator, denominator), summed by
+    parts: sum_i Pr[L_k <= i] / i, each term an integer over k! D with
+    D = lcm(1..k)."""
     k = len(counts) - 1
     d = math.lcm(*range(1, k + 1))
     total = sum(d // i * count for i, count in enumerate(counts[1:], 1))
-    return Fraction(total, counts[k] * d)
+    return total, counts[k] * d
 
 
-def _exact_mean_ratio(counts: list[int]) -> Fraction:
-    """E[L_k / k] from count row k: E[L_k] = sum_{t<k} Pr[L_k > t]."""
+def _exact_mean_ratio(counts: list[int]) -> tuple[int, int]:
+    """E[L_k / k] from count row k as (numerator, denominator):
+    E[L_k] = sum_{t<k} Pr[L_k > t]."""
     k = len(counts) - 1
     total = counts[k]
-    return Fraction(sum(total - count for count in counts[:k]), k * total)
+    return sum(total - count for count in counts[:k]), k * total
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,8 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
     """Full pmf/cdf table of L_k."""
     _check_k(k, precision)
     if precision == RATIONAL:
+        from fractions import Fraction
+
         counts = _count_rows(k)[k]
         cdf = [Fraction(count, counts[k]) for count in counts]
         pmf = [Fraction(b - a, counts[k]) for a, b in itertools.pairwise([0, *counts])]
@@ -177,7 +181,9 @@ def alpha(k: int, precision: str = RATIONAL):
     _check_k(k, precision)
     if precision == FLOAT:
         return _float_alpha(_float_pmf(k)[k])
-    return _exact_alpha(_count_rows(k)[k])
+    from fractions import Fraction
+
+    return Fraction(*_exact_alpha(_count_rows(k)[k]))
 
 
 def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
@@ -191,7 +197,9 @@ def golomb_dickman_estimate(k: int, precision: str = RATIONAL):
     _check_k(k, precision)
     if precision == FLOAT:
         return _float_mean_ratio(_float_pmf(k)[k])
-    return _exact_mean_ratio(_count_rows(k)[k])
+    from fractions import Fraction
+
+    return Fraction(*_exact_mean_ratio(_count_rows(k)[k]))
 
 
 def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:
@@ -254,11 +262,12 @@ def alpha_table(k_max: int, precision: str = RATIONAL) -> list[dict]:
     if precision == FLOAT:
         P = _float_pmf(k_max)  # row k of the larger table equals a build at k
         rows = [P[k, : k + 1] for k in range(k_max + 1)]
-        row_alpha, row_mean = _float_alpha, _float_mean_ratio
+        values = [(_float_alpha(rows[k]), _float_mean_ratio(rows[k])) for k in range(1, k_max + 1)]
     else:
         rows = _count_rows(k_max)
-        row_alpha, row_mean = _exact_alpha, _exact_mean_ratio
-    values = [(float(row_alpha(rows[k])), float(row_mean(rows[k]))) for k in range(1, k_max + 1)]
+        # int / int true division is correctly rounded, as float(Fraction) is
+        values = [(truediv(*_exact_alpha(rows[k])), truediv(*_exact_mean_ratio(rows[k])))
+                  for k in range(1, k_max + 1)]
     return [
         {"k": k, "alpha": a, "predicted_fraction": 1.0 - math.exp(-1.0 / a), "mean_ratio": g}
         for k, (a, g) in enumerate(values, 1)

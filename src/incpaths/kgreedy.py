@@ -21,8 +21,9 @@ candidate rows with a heap instead of visiting all m edges:
   that holds n - 1 (uint8 up to n = 256, uint16 up to the ordering cap):
   1 or 2 bytes an entry, not the 9 or 10 a float64 label beside its target
   would need.  When the vertex rejoins after its subtree was discarded, it
-  bisects its row from its queued index for the first entry above tau,
-  reading each probed entry's exact label from the ordering;
+  searches its row from its queued index for the first entry above tau,
+  galloping in spans of 16, 256, ... entries and bisecting the span that
+  holds it, reading each probed entry's exact label from the ordering;
 * the heap holds each tree vertex's next candidate as (label, vertex,
   row index), with the exact label read from the ordering as it is
   pushed, so commits, ties and tau are exact.  Targets on the path are
@@ -53,7 +54,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .core import EdgeOrdering, _row_offsets
 MODES = (STRICT, EXHAUST)
 
 
-@dataclass(frozen=True)
 class KGreedyTrace:
     """One record per full-tree path extension.
 
@@ -75,9 +74,10 @@ class KGreedyTrace:
     partial tree after the eligible-edge supply runs dry are not recorded.
     """
 
-    ell: np.ndarray
-    retained_subtree_size: np.ndarray
-    waiting_time: np.ndarray
+    def __init__(self, ell: np.ndarray, retained_subtree_size: np.ndarray,
+                 waiting_time: np.ndarray):
+        self.ell, self.retained_subtree_size = ell, retained_subtree_size
+        self.waiting_time = waiting_time
 
     def __len__(self):
         return len(self.ell)
@@ -169,12 +169,22 @@ def k_greedy_path(
     def join(x):
         if x in rows:
             # entries before pos[x] are on the path or were popped at a
-            # label no greater than tau, so the bisect can start there
+            # label no greater than tau, so the search can start there; the
+            # answer is a few entries on at large k, a few hundred at k = 10,
+            # so it gallops to the first span whose last label passes tau
+            targets = rows[x]
             o = offsets[x]
-            p = bisect_right(
-                rows[x], tau, pos[x], key=lambda t: labels[o + t if x < t else offsets[t] + x]
-            )
-            queue_from(x, p)
+            lo, span = pos[x], 16
+            hi = len(targets)
+            while lo + span <= hi:
+                t = targets[lo + span - 1]
+                if labels[o + t if x < t else offsets[t] + x] > tau:
+                    hi = lo + span - 1
+                    break
+                lo += span
+                span <<= 4
+            queue_from(x, bisect_right(
+                targets, tau, lo, hi, key=lambda t: labels[o + t if x < t else offsets[t] + x]))
             return
         row = ordering.row(x)
         keep = row > tau

@@ -27,7 +27,8 @@ arithmetic is exact (Python ints and Fractions): E[H_n^2] and the split
 sums are integers over the common denominator (2n-2)!; E[H_n^2] becomes
 one Fraction and each split sum one correctly rounded division at the
 end.  No other floating point enters except where an explicit e^{-2}
-scale factor is applied.
+scale factor is applied.  ``fractions`` is imported only by the
+functions that return a Fraction, so the split sums run without it.
 
 The segment counts inner(c, k) = [x^c] (2x + x^2/(1-x))^k, the ways to
 lay k shared segments over c shared edges, come off one prefix-sum row
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate, permutations
 from operator import mul
 
@@ -131,6 +131,8 @@ def classify_pair(a_seq, b_seq) -> ProfileSignature:
 def pair_probability(a_seq, b_seq) -> Fraction:
     """Probability that a uniform edge ordering makes both sequences
     increasing: extensions / (2n-c-2)!."""
+    from fractions import Fraction
+
     match = _match_pair(a_seq, b_seq)
     union = 2 * (len(a_seq) - 1) - _signature(match).c
     return Fraction(_extension_count(match), math.factorial(union))
@@ -148,6 +150,8 @@ def exact_moments(n: int) -> MomentReport:
         raise CapacityError(f"exact moments support n <= {MOMENTS_CAP}, got n={n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
+    from fractions import Fraction
+
     # pairs (identity, B) stand for all pairs: classify and the extension
     # count are invariant under simultaneous relabeling, so full-class
     # values are these times n!
@@ -288,6 +292,8 @@ def constant_C_partial(c_max: int) -> Fraction:
             f"c_max={c_max} exceeds cap {CONSTANT_C_CAP}; raising the cap needs "
             f"about {mem / 2**20:.0f} MiB of segment counts"
         )
+    from fractions import Fraction
+
     # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max, by
     # Horner's rule in k: total_k = k total_{k-1} + 2^k sum_c inner 2^(c_max-c)
     total = 0

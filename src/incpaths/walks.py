@@ -17,8 +17,6 @@ replay's reference for ``walk_lengths``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -121,7 +119,6 @@ def greedy_path(ordering: EdgeOrdering, v0: int = 0) -> list[int]:
         v = w
 
 
-@dataclass(frozen=True)
 class JumpSequence:
     """Cyclic label gaps along a walk in the real model, with prefix sums.
 
@@ -129,8 +126,8 @@ class JumpSequence:
     descents, so the walk is increasing iff the sum is at most 1.
     """
 
-    jumps: np.ndarray
-    prefix_sums: np.ndarray
+    def __init__(self, jumps: np.ndarray, prefix_sums: np.ndarray):
+        self.jumps, self.prefix_sums = jumps, prefix_sums
 
 
 def jumps(ordering: EdgeOrdering, vertices) -> JumpSequence:

@@ -428,3 +428,15 @@ def test_labels_immutable():
     ordering = random_ordering(5, 3)
     with pytest.raises(ValueError):
         ordering.labels[0] = 99
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+def test_ordering_refuses_attribute_assignment(model):
+    ordering = random_ordering(5, 3, model)
+    ordering.matrix  # a cached property still fills in
+    for name, value in (("n", 6), ("labels", ordering.labels.copy()), ("matrix", None)):
+        with pytest.raises(AttributeError):
+            setattr(ordering, name, value)
+        with pytest.raises(AttributeError):
+            delattr(ordering, name)
+    assert ordering.n == 5 and "matrix" in vars(ordering)

@@ -412,6 +412,15 @@ def test_alpha_table_and_csv(tmp_path):
     assert abs(float(last[1]) - float(alpha(12))) < 1e-15
 
 
+def test_rational_alpha_table_rows_are_the_fractions_rounded():
+    # the rows divide each integer numerator by its denominator, which
+    # rounds as float() of the reduced Fraction does
+    for row in alpha_table(RATIONAL_CAP, RATIONAL):
+        k = row["k"]
+        assert row["alpha"] == float(alpha(k))
+        assert row["mean_ratio"] == float(golomb_dickman_estimate(k))
+
+
 def test_alpha_limit_estimate():
     est = alpha_limit_estimate(1000)
     assert est["alpha_at_k"] > est["richardson"]  # decreasing sequence

@@ -504,11 +504,17 @@ def test_each_command_imports_only_its_layers(argv, uses_numpy):
     loaded = set(seen.pop("loaded"))
     assert seen == {"code": 0, "numpy": uses_numpy,
                     "prng": f"numpy-PCG64-{numpy.__version__}"}
+    # no layer builds a dataclass, and csv is loaded only for a .csv --out
+    assert not loaded & {"dataclasses", "csv"}
     if not uses_numpy:
         # the prng version is read from numpy/version.py, not the slow metadata
         assert not metadata
-        # nor the dataclass machinery (inspect and all), typing or csv
-        assert not loaded & {"dataclasses", "inspect", "csv", "typing"}
+        # nor inspect or typing, which numpy itself imports
+        assert not loaded & {"inspect", "typing"}
+    if argv[0] == "bounds" or "rational" in argv:
+        # no Fraction is built: the split sums and alpha_table's rows are
+        # int / int divisions
+        assert not loaded & {"fractions", "decimal"}
 
 
 def test_missing_numpy_exits_2_with_one_error_line():
@@ -521,6 +527,56 @@ def test_missing_numpy_exits_2_with_one_error_line():
     assert child.stdout == ""
     assert child.stderr.startswith("error: numpy is not installed")
     assert child.stderr.count("\n") == 1
+
+
+def _run_module(*argv):
+    """``python -m incpaths argv`` in a fresh interpreter, as users start it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "incpaths", *argv], env=env,
+                          capture_output=True, timeout=60)
+
+
+def _reproducible_block(report_json):
+    report = json.loads(report_json)
+    return {"config": report["config"], "results": report["results"]}
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--n", "30"],
+                                  ["greedy-sim", "--n", "30", "--trials", "2"]],
+                         ids=["bounds", "greedy-sim"])
+def test_module_entry_prints_the_in_process_report(argv, tmp_path, capsys):
+    child = _run_module(*argv)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert main(argv) == 0
+    assert _reproducible_block(child.stdout) == _reproducible_block(capsys.readouterr().out)
+    out = tmp_path / "x.json"
+    child = _run_module(*argv, "--out", str(out))
+    assert child.returncode == 0
+    assert out.read_bytes() == child.stdout
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["bounds", "--n", "x"], 2, "argument --n: invalid int value: 'x'"),
+    (["hamprob", "--n", "21"], 3, "n=21 exceeds cap 20 of the exact DPs"),
+], ids=["bad-option", "past-the-cap"])
+def test_module_entry_exit_codes_keep_one_error_line(argv, code, message):
+    child = _run_module(*argv)
+    assert (child.returncode, child.stdout) == (code, b"")
+    errors = [line for line in child.stderr.decode().splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_entry_freezes_the_collector_after_main_and_exits_with_its_code(monkeypatch):
+    from incpaths import __main__ as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    assert calls == ["main", "freeze"]
 
 
 @pytest.mark.parametrize(
