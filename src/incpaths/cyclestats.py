@@ -206,12 +206,13 @@ def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:
     """Estimates of the limiting alpha: the value at k and the first-order
     Richardson extrapolate 2*alpha_{2k} - alpha_k (alpha_k approaches its
     limit like c/k, so the extrapolate cancels that term).  Both are
-    estimates, not exact limits.
+    estimates, not exact limits.  Both alphas come off one table built at
+    2k, whose row k equals a build at k.
     """
     if 2 * k > FLOAT_CAP:
         raise CapacityError(f"need 2k <= {FLOAT_CAP} for the extrapolate, got k={k}")
-    at_k = float(alpha(k, precision))
-    at_2k = float(alpha(2 * k, precision))
+    rows = alpha_table(2 * k, precision)
+    at_k, at_2k = rows[k - 1]["alpha"], rows[-1]["alpha"]
     return {"k": k, "alpha_at_k": at_k, "richardson": 2 * at_2k - at_k}
 
 

@@ -331,11 +331,7 @@ def _cmd_census(params, threads):
     disjoint = census.get(secondmoment.ProfileSignature(0, 0, 0))
     results = {
         "n": n,
-        "classes": [
-            {"c": sig.c, "k": sig.k, "l": sig.ell,
-             "pair_count": cls.pair_count, "mass": str(cls.mass)}
-            for sig, cls in sorted(census.items())
-        ],
+        "classes": secondmoment.census_classes(census),
         "total_pairs": sum(cls.pair_count for cls in census.values()),
         "recombined_second_moment": float(report.second_moment),
     }
@@ -345,12 +341,6 @@ def _cmd_census(params, threads):
         results["disjoint_pair_fraction"] = disjoint.pair_count / math.factorial(n) ** 2
         results["disjoint_pair_fraction_limit"] = math.exp(-2)
     return results
-
-
-def _census_csv_rows(results):
-    """``classes`` under the census CSV columns; every mass is an integer."""
-    return [{"c": r["c"], "k": r["k"], "l": r["l"], "pair_count": r["pair_count"],
-             "mass_numerator": r["mass"], "mass_denominator": "1"} for r in results["classes"]]
 
 
 def _cmd_bounds(params, threads):
@@ -370,17 +360,9 @@ def _cmd_constant_c(params, threads):
     c_max = params["k"]
     partial_sum = secondmoment.constant_C_partial(c_max)
     e_cubed = math.exp(3)
-    # from c_max = 1559 the numerator passes CPython's 4300-digit str limit (3.10.7 on)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_limit(0)
-    try:
-        numerator, denominator = str(partial_sum.numerator), str(partial_sum.denominator)
-    finally:
-        set_limit(limit)
     return {
         "c_max": c_max,
-        "partial_sum": {"numerator": numerator, "denominator": denominator},
+        "partial_sum": secondmoment.fraction_dict(partial_sum),
         "partial_sum_float": float(partial_sum),
         "e_cubed": e_cubed,
         "abs_error": abs(float(partial_sum) - e_cubed),
@@ -438,7 +420,8 @@ COMMANDS = {
                        layers=("core", "exact")),
     "moments": Command(dict(n=4, model=PERMUTATION), _cmd_moments, layers=_moments_layers,
                        optional=("trials",)),
-    "census": Command(dict(n=5), _cmd_census, layers=("secondmoment",), rows=_census_csv_rows),
+    "census": Command(dict(n=5), _cmd_census, layers=("secondmoment",),
+                     rows=lambda results: secondmoment.census_rows(results["classes"])),
     "bounds": Command(dict(n=100), _cmd_bounds, layers=("secondmoment",)),
     "constant-c": Command(dict(k=80), _cmd_constant_c, layers=("secondmoment",)),
     "worstcase": Command(dict(n=10), _cmd_worstcase, layers=("core", "walks", "exact")),
@@ -528,7 +511,3 @@ def main(argv=None) -> int:
         return 2
     print(report.to_json())
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,14 +21,20 @@ segments.  The exactly evaluated split sums over small/medium/large c
 reproduce the structure of the second-moment estimate
 E[H_n^2] ~ e * n^2, whose inner constant is sum_k 3^k/k! = e^3.
 
-Each pair is validated and its edges matched once; the signature and the
-extension count are both read from that matching.  All sum and census
-arithmetic is exact (Python ints and Fractions): E[H_n^2] and the split
-sums are integers over the common denominator (2n-2)!; E[H_n^2] becomes
-one Fraction and each split sum one correctly rounded division at the
-end.  No other floating point enters except where an explicit e^{-2}
-scale factor is applied.  ``fractions`` is imported only by the
-functions that return a Fraction, so the split sums run without it.
+Input is validated only at the public edge: ``classify_pair`` and
+``pair_probability`` check both sequences once, and ``exact_moments``
+enumerates permutations, which are valid by construction, so the inner
+matching checks nothing.  Each pair's edges are matched once; the
+signature and the extension count are both read from that matching.
+All sum and census arithmetic is exact (Python ints and Fractions):
+E[H_n^2] and the split sums are integers over the common denominator
+(2n-2)!; E[H_n^2] becomes one Fraction and each split sum one correctly
+rounded division at the end.  No other floating point enters except
+where an explicit e^{-2} scale factor is applied.  ``fractions`` is
+imported only by the functions that return a Fraction, so the split sums
+run without it.  The report blocks of ``moments``, ``census`` and
+``constant-c`` (exact rationals, census classes and CSV rows) are all
+written by the functions at the end of this module.
 
 The segment counts inner(c, k) = [x^c] (2x + x^2/(1-x))^k, the ways to
 lay k shared segments over c shared edges, come off one prefix-sum row
@@ -46,6 +52,7 @@ and sum_k a_k (n-c-k)! runs by Horner's rule too.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from itertools import accumulate, permutations
 from operator import mul
@@ -68,20 +75,20 @@ CensusClass = namedtuple("CensusClass", "pair_count mass")
 MomentReport = namedtuple("MomentReport", "n first_moment second_moment census")
 
 
-def _check_hamiltonian(seq, n=None):
-    if n is None:
-        n = len(seq)
-    if len(seq) != n or sorted(seq) != list(range(n)) or n < 2:
-        raise ValueError(f"not a Hamiltonian vertex sequence on 0..{n - 1}: {seq}")
-    return n
+def _checked_match(a_seq, b_seq) -> list[int]:
+    """``_match_pair`` of two sequences checked to be Hamiltonian on the
+    same vertices 0..n-1, n >= 2."""
+    n = len(a_seq)
+    for seq in (a_seq, b_seq):
+        if len(seq) != n or sorted(seq) != list(range(n)) or n < 2:
+            raise ValueError(f"not a Hamiltonian vertex sequence on 0..{n - 1}: {seq}")
+    return _match_pair(a_seq, b_seq)
 
 
 def _match_pair(a_seq, b_seq) -> list[int]:
-    """Validate an ordered pair once and match A's edges to B's:
+    """Match A's edges to B's in an ordered pair of Hamiltonian sequences:
     match[i] = j when A's i-th edge is B's j-th (both 1-based), else 0;
     match[0] is unused."""
-    n = _check_hamiltonian(a_seq)
-    _check_hamiltonian(b_seq, n)
     pos_b = {}
     for j, (u, v) in enumerate(zip(b_seq, b_seq[1:]), 1):
         pos_b[u, v] = pos_b[v, u] = j
@@ -125,7 +132,7 @@ def _extension_count(match) -> int:
 
 def classify_pair(a_seq, b_seq) -> ProfileSignature:
     """Signature (c, k, ell) of an ordered pair of Hamiltonian sequences."""
-    return _signature(_match_pair(a_seq, b_seq))
+    return _signature(_checked_match(a_seq, b_seq))
 
 
 def pair_probability(a_seq, b_seq) -> Fraction:
@@ -133,7 +140,7 @@ def pair_probability(a_seq, b_seq) -> Fraction:
     increasing: extensions / (2n-c-2)!."""
     from fractions import Fraction
 
-    match = _match_pair(a_seq, b_seq)
+    match = _checked_match(a_seq, b_seq)
     union = 2 * (len(a_seq) - 1) - _signature(match).c
     return Fraction(_extension_count(match), math.factorial(union))
 
@@ -307,28 +314,37 @@ def constant_C_partial(c_max: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_dict(x: Fraction) -> dict:
-    return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
+def fraction_dict(x: Fraction) -> dict:
+    """x's numerator and denominator as decimal strings, however long:
+    CPython's int-to-str digit limit (4300 from 3.10.7 on, which the
+    constant-c numerator passes from c_max = 1559) is lifted meanwhile."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
+    finally:
+        set_limit(limit)
 
 
-def _census_rows(census: dict) -> list[dict]:
-    return [
-        {
-            "c": sig.c,
-            "k": sig.k,
-            "l": sig.ell,
-            "pair_count": cls.pair_count,
-            "mass_numerator": str(cls.mass),
-            "mass_denominator": "1",
-        }
-        for sig, cls in sorted(census.items())
-    ]
+def census_classes(census: dict) -> list[dict]:
+    """The census classes in signature order, each mass an integer string:
+    the ``classes`` of the census report."""
+    return [{"c": sig.c, "k": sig.k, "l": sig.ell, "pair_count": cls.pair_count,
+             "mass": str(cls.mass)} for sig, cls in sorted(census.items())]
+
+
+def census_rows(classes: list[dict]) -> list[dict]:
+    """``census_classes`` under the columns of the census CSV, which are
+    also the ``census`` rows of a moment report; every mass is an integer."""
+    return [{"c": cls["c"], "k": cls["k"], "l": cls["l"], "pair_count": cls["pair_count"],
+             "mass_numerator": cls["mass"], "mass_denominator": "1"} for cls in classes]
 
 
 def moment_report_to_dict(report: MomentReport) -> dict:
     return {
         "n": report.n,
-        "first_moment": _fraction_dict(report.first_moment),
-        "second_moment": _fraction_dict(report.second_moment),
-        "census": _census_rows(report.census),
+        "first_moment": fraction_dict(report.first_moment),
+        "second_moment": fraction_dict(report.second_moment),
+        "census": census_rows(census_classes(report.census)),
     }

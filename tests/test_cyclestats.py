@@ -421,13 +421,22 @@ def test_rational_alpha_table_rows_are_the_fractions_rounded():
         assert row["mean_ratio"] == float(golomb_dickman_estimate(k))
 
 
-def test_alpha_limit_estimate():
+def test_alpha_limit_estimate(monkeypatch):
+    builds = []
+    float_pmf = cyclestats._float_pmf
+    monkeypatch.setattr(cyclestats, "_float_pmf", lambda k: builds.append(k) or float_pmf(k))
     est = alpha_limit_estimate(1000)
+    assert builds == [2000]  # both alphas come off one table
+    monkeypatch.undo()
     assert est["alpha_at_k"] > est["richardson"]  # decreasing sequence
     assert abs(est["richardson"] - 0.5219) < 2e-4
     with pytest.raises(CapacityError):
         alpha_limit_estimate(FLOAT_CAP)
-    assert alpha_limit_estimate(50)["alpha_at_k"] == alpha(50, FLOAT)
+    for k, precision in ((1000, FLOAT), (50, FLOAT), (100, RATIONAL), (7, RATIONAL)):
+        est = alpha_limit_estimate(k, precision)
+        at_k, at_2k = float(alpha(k, precision)), float(alpha(2 * k, precision))
+        assert est["alpha_at_k"] == at_k
+        assert est["richardson"] == 2 * at_2k - at_k
 
 
 # values README.md states, each with the digits it states them to

@@ -8,6 +8,10 @@ unchanged fails the test.  A change that moves a report on purpose bumps
 the version and re-records the file:
 
     python tests/test_golden_reports.py --record
+
+At an unchanged version ``--record`` only adds new variants: when a
+recorded digest moved it lists the moved variants, exits non-zero and
+leaves the file as it was.
 """
 
 import contextlib
@@ -71,9 +75,19 @@ def report_digest(variant: str) -> str:
     return hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
 
 
-def record() -> None:
-    digests = {variant: report_digest(variant) for variant in VARIANTS}
-    GOLDEN.write_text(json.dumps({"version": __version__, "digests": digests}, indent=2) + "\n")
+def record(path: Path = GOLDEN, variants: list[str] = VARIANTS) -> None:
+    """Write the digests of ``variants`` at this version to ``path``; exit
+    non-zero, the file untouched, if one it holds at this version moved."""
+    digests = {variant: report_digest(variant) for variant in variants}
+    if path.exists():
+        golden = json.loads(path.read_text())
+        if golden["version"] == __version__:
+            moved = [variant for variant, digest in golden["digests"].items()
+                     if digests.get(variant, digest) != digest]
+            if moved:
+                sys.exit(f"reports moved at unchanged version {__version__}; bump the "
+                         f"version, then re-record: {moved}")
+    path.write_text(json.dumps({"version": __version__, "digests": digests}, indent=2) + "\n")
 
 
 def test_golden_reports_match_their_recorded_digests():
@@ -85,6 +99,30 @@ def test_golden_reports_match_their_recorded_digests():
     moved = [variant for variant in VARIANTS if report_digest(variant) != golden["digests"][variant]]
     assert not moved, (f"reports moved at unchanged version {__version__}; bump the version "
                        f"and re-record: {moved}")
+
+
+def test_record_refuses_to_overwrite_a_moved_digest_at_the_same_version(tmp_path):
+    path = tmp_path / "golden.json"
+    variants = ["worstcase --n 2", "constant-c --k 40", "bounds --n 50"]
+    current = {variant: report_digest(variant) for variant in variants}
+    stale = json.dumps({"version": __version__,
+                        "digests": {**current, "constant-c --k 40": "0" * 64}}) + "\n"
+    path.write_text(stale)
+    with pytest.raises(SystemExit, match=r"\['constant-c --k 40'\]") as exit_info:
+        record(path, variants)
+    assert exit_info.value.code != 0
+    assert path.read_text() == stale
+
+    # a new variant is added to the digests recorded at this version
+    path.write_text(json.dumps({"version": __version__,
+                                "digests": {"worstcase --n 2": current["worstcase --n 2"]}}))
+    record(path, variants)
+    assert json.loads(path.read_text()) == {"version": __version__, "digests": current}
+
+    # a file from another version is re-recorded whatever moved
+    path.write_text(stale.replace(__version__, "0.0.0"))
+    record(path, variants)
+    assert json.loads(path.read_text()) == {"version": __version__, "digests": current}
 
 
 if __name__ == "__main__":

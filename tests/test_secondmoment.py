@@ -101,11 +101,14 @@ def test_classify_figure_shape():
     assert classify_pair(a, b) == ProfileSignature(3, 2, 1)
 
 
-def test_classify_rejects_non_hamiltonian():
-    with pytest.raises(ValueError):
-        classify_pair([0, 1, 2], [0, 1, 1])
-    with pytest.raises(ValueError):
-        classify_pair([0, 1], [0, 1, 2])
+@pytest.mark.parametrize("public", [classify_pair, pair_probability],
+                         ids=lambda public: public.__name__)
+def test_classify_rejects_non_hamiltonian(public):
+    # the public functions validate; the matching under them checks nothing
+    for a, b in (([0, 1, 2], [0, 1, 1]), ([0, 1], [0, 1, 2]), ([0, 1, 1], [0, 1, 2]),
+                 ([0], [0]), ([1, 2, 3], [1, 2, 3])):
+        with pytest.raises(ValueError, match="not a Hamiltonian vertex sequence"):
+            public(a, b)
 
 
 def test_classify_relabeling_invariance():
