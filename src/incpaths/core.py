@@ -3,14 +3,14 @@ the labels along a walk.
 
 An edge ordering assigns every edge of the complete graph K_n a distinct
 label; only the relative order of labels matters.  Two label models are
-supported: ``permutation`` (labels are a bijection onto 1..n(n-1)/2) and
-``real`` (distinct reals in the open interval (0,1)).
+supported: ``permutation`` (labels are a bijection onto 1..n(n-1)/2,
+stored as int64) and ``real`` (distinct reals in the open interval (0,1),
+stored as float64).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from . import PERMUTATION, REAL, CapacityError
 
 MODELS = (PERMUTATION, REAL)
 
-#: Largest n for which an ordering is built: about 5e7 labels, 381 MiB
-#: (real) or 429 MiB (permutation) to build by the memory model in
-#: ``_check_size``.
+#: Largest n for which an ordering is built: about 5e7 labels, 381 MiB to
+#: build by the memory model in ``_check_size``.
 ORDERING_CAP = 10_000
 
 
@@ -106,16 +105,18 @@ class EdgeOrdering:
     """An edge ordering of K_n.
 
     ``labels[i]`` is the label of the edge with canonical index i: an
-    integer in 1..n(n-1)/2 for the permutation model, a real in (0,1) for
+    int64 in 1..n(n-1)/2 for the permutation model, a float64 in (0,1) for
     the real model.  Instances are immutable and safe to share across
     threads.
 
-    Construction rejects permutation labels that are not exactly 1..m, and
-    real labels that are tied or lie outside the open interval (0,1), NaN
-    included.  The permutation check is one m-byte presence mask; the real
-    check sorts a copy of the labels, leaving the caller's array as it is.
-    ``random_ordering`` checks its real draw itself, sorted in place, and
-    builds the ordering through ``_unchecked``.
+    Construction rejects permutation labels that are not integers exactly
+    1..m, and real labels that are not floats, are tied or lie outside the
+    open interval (0,1), NaN included, and copies only labels of another
+    dtype.  The permutation check, one m-byte presence mask, runs before
+    the int64 conversion, so no fraction is truncated into a valid label;
+    real labels are checked after the float64 conversion, on a sorted
+    copy, so the check sees what the kernels read.  ``random_ordering``
+    and ``matching_ordering`` build through ``_unchecked``.
 
     No command builds the n-by-n ``matrix``: the greedy and k-greedy
     searches gather ``row``s, and the walks and the exact DPs read
@@ -127,17 +128,18 @@ class EdgeOrdering:
     """
 
     def __init__(self, n: int, model: str, labels: np.ndarray):
-        if n < 2:
-            raise ValueError(f"need n >= 2, got n={n}")
-        if model not in MODELS:
-            raise ValueError(f"unknown label model {model!r}")
+        _check_size(n, model)
         m = num_edges(n)
         if labels.shape != (m,):
             raise ValueError("label array length != n(n-1)/2")
         if model == PERMUTATION:
             if not _is_one_to_m(labels, m):
                 raise ValueError(f"permutation labels must be exactly the integers 1..{m}")
+            labels = labels.astype(np.int64, copy=False)
+        elif labels.dtype.kind != "f":  # a complex label would lose its imaginary part
+            raise ValueError("real labels must be floats")
         else:
+            labels = labels.astype(np.float64, copy=False)
             _check_real(np.sort(labels))
         self.__dict__.update(n=n, model=model, labels=labels)
         labels.setflags(write=False)
@@ -150,8 +152,8 @@ class EdgeOrdering:
 
     @classmethod
     def _unchecked(cls, n: int, model: str, labels: np.ndarray) -> EdgeOrdering:
-        """An ordering of labels its caller has already checked, built
-        without the constructor's checks.  Only ``random_ordering`` calls it."""
+        """An ordering of valid labels, in the model's dtype by construction,
+        built without the constructor's checks and copy."""
         ordering = object.__new__(cls)
         ordering.__dict__.update(n=n, model=model, labels=labels)
         labels.setflags(write=False)
@@ -204,18 +206,18 @@ class EdgeOrdering:
 
 
 def _check_size(n: int, model: str) -> None:
-    """Reject an ordering request before its n(n-1)/2 labels are allocated."""
+    """Reject an ordering that cannot be built, before a draw allocates
+    its labels."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if model not in MODELS:
         raise ValueError(f"unknown label model {model!r}")
     if n > ORDERING_CAP:
-        # one 8-byte label per edge, and for a permutation an m-byte check
-        # mask: 8m bytes real, 9m permutation.  Calibrated on the max RSS
-        # rise of one random_ordering at n = 2000, 4000 and 8000: 15.4, 61.1
-        # and 244.2 MiB real, against 15.3, 61.0 and 244.1 here, and 17.2,
-        # 68.7 and 274.7 MiB permutation, against 17.2, 68.6 and 274.6.
-        mem = (9 if model == PERMUTATION else 8) * num_edges(n)
+        # one 8-byte label per edge, 8m bytes for either model.  Calibrated
+        # on the max RSS rise of one random_ordering at n = 2000, 4000 and
+        # 8000: 15.2, 60.9 and 244.0 MiB permutation and 15.3, 61.1 and
+        # 244.2 MiB real, against 15.3, 61.0 and 244.1 here.
+        mem = 8 * num_edges(n)
         raise CapacityError(
             f"orderings support n <= {ORDERING_CAP}, got n={n}; a {model} ordering "
             f"at n={n} needs about {mem / 2**20:.0f} MiB to build"
@@ -225,22 +227,20 @@ def _check_size(n: int, model: str) -> None:
 def random_ordering(n: int, seed: int, model: str = PERMUTATION) -> EdgeOrdering:
     """Uniformly random edge ordering, deterministic given (n, seed, model).
 
-    Each draw is checked for range and ties before it is used, and the
-    build holds one m-sized label array at a time, plus an m-byte mask for
-    a permutation.  A permutation draw is shifted to 1..m in place and
-    checked by the constructor.  A real draw is sorted in place and
-    checked, then released and drawn again from the same seed, in edge
-    order, for the ordering to keep.  A real draw with a zero or a tie is
-    rejected, and the next m values of the same stream take its place.
-    Whether a block is rejected depends only on its set of values, so the
-    accepted block's order is exactly uniform.
+    The build holds one m-sized label array at a time, 8m bytes.  A
+    permutation draw is shifted to 1..m in place.  A real draw is sorted in
+    place and checked for range and ties, then released and drawn again
+    from the same seed, in edge order, for the ordering to keep.  A real
+    draw with a zero or a tie is rejected, and the next m values of the
+    same stream take its place.  Whether a block is rejected depends only
+    on its set of values, so the accepted block's order is exactly uniform.
     """
     _check_size(n, model)
     m = num_edges(n)
     if model == PERMUTATION:
         labels = np.random.default_rng(seed).permutation(m).astype(np.int64, copy=False)
         labels += 1
-        return EdgeOrdering(n=n, model=model, labels=labels)
+        return EdgeOrdering._unchecked(n, model, labels)
     rng = np.random.default_rng(seed)
     ranked = np.empty(m)
     attempt = 0
@@ -278,10 +278,10 @@ def matching_ordering(n: int) -> EdgeOrdering:
         for idx in sorted(edge_index(u, v, n) for u, v in matching):
             labels[idx] = label
             label += 1
-    return EdgeOrdering(n=n, model=PERMUTATION, labels=labels)
+    return EdgeOrdering._unchecked(n, PERMUTATION, labels)
 
 
-def walk_labels(ordering: EdgeOrdering, vertices: Sequence[int]) -> list:
+def walk_labels(ordering: EdgeOrdering, vertices) -> list:
     """Labels of the walk's edges, in traversal order.  Raise ValueError
     unless ``vertices`` is a valid walk in K_n: at least one vertex, each
     in range, and no two consecutive ones equal."""

@@ -198,7 +198,7 @@ def _series(values, emit_raw: bool) -> dict:
         "ci95": [ci[0], ci[1]],
     }
     if emit_raw:
-        out["values"] = [float(v) for v in values] if isinstance(values[0], float) else list(values)
+        out["values"] = list(values)
     return out
 
 
@@ -235,7 +235,9 @@ def _trial(measure, params, seed):
     return measure(core.random_ordering(params["n"], seed, params["model"]), params)
 
 
-def _run_trials(measure, params, threads):
+def _cmd_trial_series(measure, keys, params, threads, reduce=None):
+    """One series per key (a measure returns a tuple for several keys), plus
+    the entries ``reduce(params, *columns)`` derives from them."""
     trials = params["trials"]
     seeds = [trial_seed(params["seed"], t) for t in range(trials)]
     task = partial(_trial, measure, params)
@@ -244,14 +246,9 @@ def _run_trials(measure, params, threads):
 
         with ProcessPoolExecutor(max_workers=threads, initializer=_import_layers,
                                  initargs=(_layers(params),)) as pool:
-            return list(pool.map(task, seeds, chunksize=max(1, trials // (4 * threads))))
-    return list(map(task, seeds))
-
-
-def _cmd_trial_series(measure, keys, params, threads, reduce=None):
-    """One series per key (a measure returns a tuple for several keys), plus
-    the entries ``reduce(params, *columns)`` derives from them."""
-    values = _run_trials(measure, params, threads)
+            values = list(pool.map(task, seeds, chunksize=max(1, trials // (4 * threads))))
+    else:
+        values = list(map(task, seeds))
     columns = [values] if len(keys) == 1 else [list(col) for col in zip(*values)]
     results = {key: _series(col, params.get("emit_raw")) for key, col in zip(keys, columns)}
     if reduce is not None:

@@ -125,10 +125,7 @@ def k_greedy_path(
     # the path with a label above tau at x's first join
     rows: dict[int, array] = {}
     target_type = np.min_scalar_type(n - 1)
-    labels = ordering.labels
-    if not (labels.dtype.isnative and labels.dtype.char in "bBhHiIlLqQfd"):
-        labels = labels.astype(np.float64)  # a dtype memoryview cannot index
-    labels = memoryview(labels)  # indexed at half the cost of ndarray.item
+    labels = memoryview(ordering.labels)  # indexed at half the cost of ndarray.item
     offsets = _row_offsets(n).tolist()
     pos = [0] * n  # index of x's queued candidate in rows[x]
     heap: list[tuple[float | int, int, int]] = []

@@ -27,21 +27,33 @@ from .core import (
 )
 
 
+def _trajectories(ordering: EdgeOrdering, refuse: bool) -> list[list[int]]:
+    """Pedestrian trajectories, indexed by start vertex, under the refusal
+    rule if ``refuse``; the pedestrian process never refuses."""
+    n = ordering.n
+    walks = [[v] for v in range(n)]
+    visited = [{v} for v in range(n)] if refuse else None
+    who = list(range(n))  # who[x] = pedestrian currently standing at x
+    us, vs = ordering.edges_by_label
+    for u, v in zip(us.tolist(), vs.tolist()):
+        a, b = who[u], who[v]
+        if refuse:
+            if v in visited[a] or u in visited[b]:
+                continue
+            visited[a].add(v)
+            visited[b].add(u)
+        walks[a].append(v)
+        walks[b].append(u)
+        who[u], who[v] = b, a
+    return walks
+
+
 def pedestrian_walks(ordering: EdgeOrdering) -> list[list[int]]:
     """Trajectories of all n pedestrians, indexed by start vertex.
 
     Total steps over all trajectories is exactly n(n-1): two per edge.
     """
-    n = ordering.n
-    walks = [[v] for v in range(n)]
-    who = list(range(n))  # who[x] = pedestrian currently standing at x
-    us, vs = ordering.edges_by_label
-    for u, v in zip(us.tolist(), vs.tolist()):
-        a, b = who[u], who[v]
-        walks[a].append(v)
-        walks[b].append(u)
-        who[u], who[v] = b, a
-    return walks
+    return _trajectories(ordering, refuse=False)
 
 
 def refusal_paths(ordering: EdgeOrdering) -> list[list[int]]:
@@ -50,21 +62,7 @@ def refusal_paths(ordering: EdgeOrdering) -> list[list[int]]:
 
     Every trajectory is a simple increasing path.
     """
-    n = ordering.n
-    walks = [[v] for v in range(n)]
-    visited = [{v} for v in range(n)]
-    who = list(range(n))
-    us, vs = ordering.edges_by_label
-    for u, v in zip(us.tolist(), vs.tolist()):
-        a, b = who[u], who[v]
-        if v in visited[a] or u in visited[b]:
-            continue
-        walks[a].append(v)
-        visited[a].add(v)
-        walks[b].append(u)
-        visited[b].add(u)
-        who[u], who[v] = b, a
-    return walks
+    return _trajectories(ordering, refuse=True)
 
 
 def walk_lengths(ordering: EdgeOrdering) -> tuple[list[int], list[int]]:

@@ -168,11 +168,10 @@ def test_random_ordering_holds_one_label_array(model):
     random_ordering(3, 0, model)  # first-call setup is not the build's
     n = 1000
     peak = traced_peak(lambda: random_ordering(n, 1, model))
-    # the labels, plus an m-byte mask for a permutation; the real check
-    # compares neighbours a block at a time.  A second m-sized array would
-    # be 2x
-    bytes_per_label = 8.5 if model == core.REAL else 10
-    assert peak < bytes_per_label * num_edges(n)
+    # the labels alone: a permutation draw is 1..m by construction, and the
+    # real check compares neighbours a block at a time.  A second m-sized
+    # array would be 2x
+    assert peak < 8.5 * num_edges(n)
 
 
 @pytest.mark.parametrize("n, bytes_per_edge", [(200, 2.5), (1000, 4.5)])
@@ -336,6 +335,14 @@ def test_matching_ordering_rejects_odd_n():
         matching_ordering(5)
 
 
+def test_matching_ordering_labels_are_one_to_m():
+    # matching_ordering builds unchecked: its labels are 1..m by construction
+    for n in range(2, 41, 2):
+        labels = matching_ordering(n).labels
+        assert labels.dtype == np.int64
+        assert np.array_equal(np.sort(labels), np.arange(1, num_edges(n) + 1))
+
+
 def test_is_increasing_examples():
     labels = np.array([1, 3, 2], dtype=np.int64)  # f(01)=1, f(12)=2, f(02)=3
     ordering = EdgeOrdering(n=3, model=core.PERMUTATION, labels=labels)
@@ -405,11 +412,13 @@ def test_matrix_symmetric_inf_diagonal():
         # all labels equal: the subset DP would report 3 edges, brute force 1
         (4, [1, 1, 1, 1, 1, 1]),
         (3, [1, 7, 2]),
+        # a float is rejected, not truncated to the valid 1, 2, 3
+        (3, [1.0, 2.5, 3.0]),
     ],
 )
 def test_rejects_labels_other_than_one_to_m(n, labels):
     with pytest.raises(ValueError, match="exactly the integers 1.."):
-        EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(labels, dtype=np.int64))
+        EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(labels))
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -1.0])
@@ -422,6 +431,44 @@ def test_rejects_real_label_outside_unit_interval(bad):
 def test_rejects_tied_real_labels():
     with pytest.raises(ValueError, match="tied"):
         EdgeOrdering(n=3, model=core.REAL, labels=np.array([0.25, 0.75, 0.25]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                    reason="longdouble is float64 here")
+def test_rejects_real_labels_tied_in_float64():
+    # distinct in longdouble, equal in the float64 the kernels read
+    labels = np.array([0.1, 0.1, 0.3], dtype=np.longdouble)
+    labels[1] += np.finfo(np.longdouble).eps / 4
+    assert labels[0] != labels[1]
+    with pytest.raises(ValueError, match="tied real labels"):
+        EdgeOrdering(n=3, model=core.REAL, labels=labels)
+
+
+@pytest.mark.parametrize("model, dtype, stored", [
+    (core.REAL, ">f8", np.float64), (core.REAL, "f2", np.float64),
+    (core.PERMUTATION, ">i8", np.int64), (core.PERMUTATION, "u2", np.int64),
+])
+def test_labels_are_stored_in_the_models_dtype(model, dtype, stored):
+    native = random_ordering(7, 2, model).labels
+    if model == core.REAL:
+        native = (np.argsort(np.argsort(native)) + 1) / 32  # exact in float16
+    ordering = EdgeOrdering(n=7, model=model, labels=native.astype(dtype))
+    assert ordering.labels.dtype == stored
+    assert np.array_equal(ordering.labels, native)
+    assert type(ordering.label(0, 1)) is (int if model == core.PERMUTATION else float)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EdgeOrdering(n=1, model=core.PERMUTATION, labels=np.zeros(0, dtype=np.int64)),
+     "need n >= 2"),
+    (lambda: EdgeOrdering(n=3, model="bogus", labels=np.array([1, 2, 3])), "unknown label model"),
+    (lambda: EdgeOrdering(n=3, model=core.PERMUTATION, labels=np.array([1, 2])), "length"),
+    (lambda: random_ordering(5, 0, "bogus"), "unknown label model"),
+    (lambda: EdgeOrdering(n=2, model=core.REAL, labels=np.array([0.5 + 0.5j])), "must be floats"),
+], ids=["n-below-2", "unknown-model", "wrong-length", "random-unknown-model", "complex-real"])
+def test_rejects_bad_requests(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_labels_immutable():

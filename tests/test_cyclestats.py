@@ -466,3 +466,5 @@ def test_capacity_and_argument_errors():
         longest_cycle_distribution(5, "decimal")
     with pytest.raises(ValueError):
         sample_longest_cycle(3, 0, seed=1)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        sample_longest_cycle(0, 10, seed=0)

@@ -57,6 +57,11 @@ def test_summarize_empty_rejected():
         summarize([])
 
 
+def test_resolved_rejects_an_unknown_command():
+    with pytest.raises(ValueError, match="unknown command 'nope'"):
+        ExperimentConfig(command="nope").resolved()
+
+
 def test_trial_seed_mixing():
     seeds = {trial_seed(42, t) for t in range(1000)}
     assert len(seeds) == 1000

@@ -384,6 +384,11 @@ def test_s_sum_rejects_small_n():
         s_sum_bounds(9)
 
 
+def test_exact_moments_rejects_small_n():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        exact_moments(1)
+
+
 def test_constant_c_partial():
     assert constant_C_partial(0) == 1
     values = [constant_C_partial(c) for c in range(0, 12)]

@@ -211,6 +211,11 @@ def test_jumps_rejects_permutation_model():
         jumps(random_ordering(5, 0), [0, 1])
 
 
+def test_jumps_rejects_a_walk_without_edges():
+    with pytest.raises(ValueError, match="no edges"):
+        jumps(random_ordering(5, 0, core.REAL), [3])
+
+
 def test_jumps_telescoping_identity():
     rng = np.random.default_rng(11)
     for seed in range(20):
