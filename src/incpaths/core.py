@@ -76,8 +76,8 @@ def _row_offsets(n: int) -> np.ndarray:
 
 
 def _is_one_to_m(labels: np.ndarray, m: int) -> bool:
-    """True iff the integer array ``labels`` holds each of 1..m exactly once."""
-    if labels.dtype.kind not in "iu" or labels.min() != 1 or labels.max() != m:
+    """True iff the int64 array ``labels`` holds each of 1..m exactly once."""
+    if labels.min() != 1 or labels.max() != m:
         return False
     # a presence mask takes half the time of np.bincount at n=2000
     seen = np.zeros(m + 1, dtype=bool)
@@ -109,14 +109,13 @@ class EdgeOrdering:
     the real model.  Instances are immutable and safe to share across
     threads.
 
-    Construction rejects permutation labels that are not integers exactly
-    1..m, and real labels that are not floats, are tied or lie outside the
-    open interval (0,1), NaN included, and copies only labels of another
-    dtype.  The permutation check, one m-byte presence mask, runs before
-    the int64 conversion, so no fraction is truncated into a valid label;
-    real labels are checked after the float64 conversion, on a sorted
-    copy, so the check sees what the kernels read.  ``random_ordering``
-    and ``matching_ordering`` build through ``_unchecked``.
+    Labels from outside are copied once into the model's dtype and
+    checked as stored, so the check sees what the kernels read and no
+    ordering shares memory with a caller's array.  It rejects permutation
+    labels that are not integers exactly 1..m, and real labels that are
+    not floats, are tied or lie outside the open interval (0,1), NaN
+    included.  ``random_ordering`` and ``matching_ordering`` draw valid
+    labels and adopt them through ``_unchecked``, uncopied.
 
     No command builds the n-by-n ``matrix``: the greedy and k-greedy
     searches gather ``row``s, and the walks and the exact DPs read
@@ -133,13 +132,14 @@ class EdgeOrdering:
         if labels.shape != (m,):
             raise ValueError("label array length != n(n-1)/2")
         if model == PERMUTATION:
-            if not _is_one_to_m(labels, m):
+            # a float is refused before the copy, never truncated into 1..m
+            labels = labels.astype(np.int64) if labels.dtype.kind in "iu" else None
+            if labels is None or not _is_one_to_m(labels, m):
                 raise ValueError(f"permutation labels must be exactly the integers 1..{m}")
-            labels = labels.astype(np.int64, copy=False)
         elif labels.dtype.kind != "f":  # a complex label would lose its imaginary part
             raise ValueError("real labels must be floats")
         else:
-            labels = labels.astype(np.float64, copy=False)
+            labels = labels.astype(np.float64)
             _check_real(np.sort(labels))
         self.__dict__.update(n=n, model=model, labels=labels)
         labels.setflags(write=False)
@@ -152,8 +152,8 @@ class EdgeOrdering:
 
     @classmethod
     def _unchecked(cls, n: int, model: str, labels: np.ndarray) -> EdgeOrdering:
-        """An ordering of valid labels, in the model's dtype by construction,
-        built without the constructor's checks and copy."""
+        """An ordering that adopts ``labels``, valid and in the model's
+        dtype by construction, without the constructor's checks and copy."""
         ordering = object.__new__(cls)
         ordering.__dict__.update(n=n, model=model, labels=labels)
         labels.setflags(write=False)
@@ -167,6 +167,8 @@ class EdgeOrdering:
         """Row v of ``matrix`` (float64, +inf at v), gathered in O(n) from
         ``labels`` without building the matrix."""
         n = self.n
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
         offsets = _row_offsets(n)
         out = np.empty(n)
         out[:v] = self.labels[offsets[:v] + v]

@@ -176,14 +176,19 @@ def longest_cycle_distribution(k: int, precision: str = RATIONAL) -> CycleLength
     return CycleLengthTable(k=k, precision=precision, pmf=tuple(pmf), cdf=tuple(cdf))
 
 
-def alpha(k: int, precision: str = RATIONAL):
-    """alpha_k = E[1/L_k + 1/(L_k+1) + ... + 1/k]; exact in rational mode."""
+def _at_k(k: int, precision: str, float_value, exact_value):
+    """``float_value`` of L_k's float pmf row, or a Fraction of ``exact_value`` of its count row."""
     _check_k(k, precision)
     if precision == FLOAT:
-        return _float_alpha(_float_pmf(k)[k])
+        return float_value(_float_pmf(k)[k])
     from fractions import Fraction
 
-    return Fraction(*_exact_alpha(_count_rows(k)[k]))
+    return Fraction(*exact_value(_count_rows(k)[k]))
+
+
+def alpha(k: int, precision: str = RATIONAL):
+    """alpha_k = E[1/L_k + 1/(L_k+1) + ... + 1/k]; exact in rational mode."""
+    return _at_k(k, precision, _float_alpha, _exact_alpha)
 
 
 def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
@@ -194,12 +199,7 @@ def predicted_fraction(k: int, precision: str = RATIONAL) -> float:
 
 def golomb_dickman_estimate(k: int, precision: str = RATIONAL):
     """E[L_k / k]; tends to about 0.6243 as k grows."""
-    _check_k(k, precision)
-    if precision == FLOAT:
-        return _float_mean_ratio(_float_pmf(k)[k])
-    from fractions import Fraction
-
-    return Fraction(*_exact_mean_ratio(_count_rows(k)[k]))
+    return _at_k(k, precision, _float_mean_ratio, _exact_mean_ratio)
 
 
 def alpha_limit_estimate(k: int, precision: str = FLOAT) -> dict:

@@ -148,16 +148,16 @@ class Report:
     """A run's reproducible config/results block, with the version and prng
     that fix it, and its ``meta`` block (the prng is read when not given)."""
 
-    def __init__(self, config: dict, results: dict, version: str = __version__,
-                 prng: str | None = None, meta: dict | None = None):
-        self.config, self.results, self.version = config, results, version
+    def __init__(self, config: dict, results: dict, prng: str | None = None,
+                 meta: dict | None = None):
+        self.config, self.results = config, results
         self.prng = _prng_name() if prng is None else prng
         self.meta = {} if meta is None else meta
 
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "version": self.version,
+            "version": __version__,
             "prng": self.prng,
             "results": self.results,
             "meta": self.meta,
@@ -449,13 +449,9 @@ def run(config: ExperimentConfig) -> Report:
         import concurrent.futures  # noqa: F401  (the trial pool's, about 30 ms)
     start = time.time()
     results = command.impl(params, threads)
-    report = Report(
-        config=params,
-        results=results,
-        prng=prng,
-        meta={"duration_seconds": time.time() - start, "threads": threads,
-              "peak_rss_mb": _peak_rss_mb()},
-    )
+    meta = {"duration_seconds": time.time() - start, "threads": threads,
+            "peak_rss_mb": _peak_rss_mb()}
+    report = Report(params, results, prng, meta)
     if config.out:
         try:
             with open(config.out, "w", newline="") as fh:

@@ -471,6 +471,30 @@ def test_rejects_bad_requests(build, message):
         build()
 
 
+def test_outside_labels_are_copied():
+    base = np.array([0.25, 0.5, 0.75])
+    ordering = EdgeOrdering(n=3, model=core.REAL, labels=base[:])
+    base[1] = 0.25  # a tie, had the ordering kept the caller's array
+    assert np.array_equal(ordering.labels, [0.25, 0.5, 0.75])
+    assert np.array_equal(ordering.row(0), [np.inf, 0.25, 0.5])
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+def test_ordering_shares_no_memory_with_the_callers_labels(model):
+    labels = random_ordering(7, 2, model).labels.copy()  # already the model's dtype
+    ordering = EdgeOrdering(n=7, model=model, labels=labels)
+    assert labels.flags.writeable
+    assert not np.shares_memory(labels, ordering.labels)
+    assert np.array_equal(labels, ordering.labels)
+
+
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("v", [-1, 5, 7])  # -1, n and n + 2
+def test_row_rejects_vertex_out_of_range(model, v):
+    with pytest.raises(ValueError, match="out of range for n=5"):
+        random_ordering(5, 0, model).row(v)
+
+
 def test_labels_immutable():
     ordering = random_ordering(5, 3)
     with pytest.raises(ValueError):

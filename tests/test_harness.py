@@ -116,6 +116,19 @@ def test_walks_demo_guarantees():
     assert results["pedestrian_total_steps"]["mean"] == 20 * 19
 
 
+@pytest.mark.parametrize("n, ped_max, ped_total, ref_max, met", [
+    (10, [9, 8], [90, 90], [3, 3], (False, True, True)),  # a walk one short of n - 1
+    (11, [10, 10], [110, 110], [4, 3], (True, True, False)),  # 3 < ceil(sqrt(10)) = 4
+    (10, [9, 9], [90, 89], [3, 3], (True, False, True)),  # a step total other than n(n-1)
+    (10, [9], [90], [3], (True, True, True)),  # each column at its threshold
+    (11, [10], [110], [4], (True, True, True)),
+], ids=["walk-short", "path-short", "step-total-off", "at-thresholds-10", "at-thresholds-11"])
+def test_walk_guarantees_at_their_thresholds(n, ped_max, ped_total, ref_max, met):
+    flags = harness._walk_guarantees({"n": n}, ped_max, ped_total, ref_max)
+    assert (flags["all_walk_guarantees_met"], flags["all_step_totals_exact"],
+            flags["all_path_guarantees_met"]) == met
+
+
 def test_alpha_table_command_with_csv(tmp_path):
     out = tmp_path / "alpha.csv"
     report = run(ExperimentConfig(command="alpha-table", k=12, out=str(out)))

@@ -318,11 +318,14 @@ def test_acted_on_entries_carry_the_queued_row_index(monkeypatch):
     assert continuations > 0
 
 
-def test_k1_exhaust_equals_greedy():
+@pytest.mark.parametrize("model", core.MODELS)
+@pytest.mark.parametrize("n", [50, 300])
+@pytest.mark.parametrize("k", [1, 2])
+def test_small_k_exhaust_equals_greedy(k, n, model):
     for seed in range(30):
-        ordering = random_ordering(25, seed, core.REAL)
-        path, _ = k_greedy_path(ordering, 0, 1, EXHAUST)
-        assert path == greedy_path(ordering, 0)
+        ordering = random_ordering(n, seed, model)
+        path, _ = k_greedy_path(ordering, 0, k, EXHAUST)
+        assert path == greedy_path(ordering, 0), seed
 
 
 def test_output_simple_and_increasing():
