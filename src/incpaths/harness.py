@@ -96,17 +96,13 @@ def _peak_rss_mb() -> float:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
 
 
-class ExperimentConfig:
+class ExperimentConfig(namedtuple(
+        "ExperimentConfig", "command n k trials seed model mode precision out threads emit_raw",
+        defaults=(None, None, None, 0, None, None, None, None, 1, False))):
     """One run's command and options, as the CLI parses them; None leaves a
     parameter at the command's default."""
 
-    def __init__(self, command: str, n: int | None = None, k: int | None = None,
-                 trials: int | None = None, seed: int = 0, model: str | None = None,
-                 mode: str | None = None, precision: str | None = None,
-                 out: str | None = None, threads: int = 1, emit_raw: bool = False):
-        self.command, self.n, self.k, self.trials, self.seed = command, n, k, trials, seed
-        self.model, self.mode, self.precision = model, mode, precision
-        self.out, self.threads, self.emit_raw = out, threads, emit_raw
+    __slots__ = ()
 
     def resolved(self) -> dict:
         """Command defaults filled in; returns the config echo dict.
@@ -144,23 +140,20 @@ class ExperimentConfig:
         return params
 
 
-class Report:
+class Report(namedtuple("Report", "config results prng meta", defaults=(None, None))):
     """A run's reproducible config/results block, with the version and prng
-    that fix it, and its ``meta`` block (the prng is read when not given)."""
+    that fix it, and its ``meta`` block; ``to_dict`` reads the prng when
+    none was given, and writes ``{}`` for a missing ``meta``."""
 
-    def __init__(self, config: dict, results: dict, prng: str | None = None,
-                 meta: dict | None = None):
-        self.config, self.results = config, results
-        self.prng = _prng_name() if prng is None else prng
-        self.meta = {} if meta is None else meta
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
             "config": self.config,
             "version": __version__,
-            "prng": self.prng,
+            "prng": _prng_name() if self.prng is None else self.prng,
             "results": self.results,
-            "meta": self.meta,
+            "meta": {} if self.meta is None else self.meta,
         }
 
     def to_json(self) -> str:
@@ -286,22 +279,18 @@ def _alpha_table_layers(params):
 
 
 def _cmd_cycles_mc(params, threads):
-    k = params["k"]
+    k, trials = params["k"], params["trials"]
     precision = RATIONAL if k <= cyclestats.RATIONAL_CAP else FLOAT
     # first, so that a k past FLOAT_CAP is refused before any sampling
-    exact_pmf = [float(p) for p in cyclestats.longest_cycle_distribution(k, precision).pmf]
-    empirical = cyclestats.sample_longest_cycle(k, params["trials"], params["seed"])
-    trials = params["trials"]
-    within = all(
-        abs(empirical[s] - exact_pmf[s])
-        <= 3 * math.sqrt(exact_pmf[s] * (1 - exact_pmf[s]) / trials) + 1e-15
-        for s in range(1, k + 1)
-    )
+    exact_pmf = numpy.array(cyclestats.longest_cycle_distribution(k, precision).pmf, dtype=float)
+    empirical = cyclestats.sample_longest_cycle(k, trials, params["seed"])
+    p = exact_pmf[1:]
+    deviation = numpy.abs(empirical[1:] - p)
+    sigma = numpy.sqrt(p * (1 - p) / trials)
     results = {
         "k": k,
-        "max_abs_deviation": float(numpy.max(numpy.abs(
-            numpy.array(empirical[1:]) - numpy.array(exact_pmf[1:])))),
-        "within_3_sigma": bool(within),
+        "max_abs_deviation": float(deviation.max()),
+        "within_3_sigma": bool(numpy.all(deviation <= 3 * sigma + 1e-15)),
         "empirical_mean": float(numpy.dot(numpy.arange(k + 1), empirical)),
         "exact_mean": float(numpy.dot(numpy.arange(k + 1), exact_pmf)),
     }

@@ -180,7 +180,7 @@ def exact_moments(n: int) -> MomentReport:
     second = sum(cls.mass * up[sig.c] for sig, cls in census.items())
     return MomentReport(
         n=n,
-        first_moment=Fraction(scale, math.factorial(n - 1)),
+        first_moment=n,  # n! paths, each increasing with probability 1/(n-1)!
         second_moment=Fraction(second, math.factorial(2 * n - 2)),
         census=census,
     )

@@ -17,6 +17,8 @@ replay's reference for ``walk_lengths``.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .core import (
@@ -117,15 +119,11 @@ def greedy_path(ordering: EdgeOrdering, v0: int = 0) -> list[int]:
         v = w
 
 
-class JumpSequence:
-    """Cyclic label gaps along a walk in the real model, with prefix sums.
+JumpSequence = namedtuple("JumpSequence", "jumps prefix_sums")
+JumpSequence.__doc__ = """Cyclic label gaps along a walk in the real model, with prefix sums.
 
-    The jump sum telescopes to f(e_last) + p where p counts the walk's
-    descents, so the walk is increasing iff the sum is at most 1.
-    """
-
-    def __init__(self, jumps: np.ndarray, prefix_sums: np.ndarray):
-        self.jumps, self.prefix_sums = jumps, prefix_sums
+The jump sum telescopes to f(e_last) + p where p counts the walk's
+descents, so the walk is increasing iff the sum is at most 1."""
 
 
 def jumps(ordering: EdgeOrdering, vertices) -> JumpSequence:

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -30,6 +31,13 @@ def strip_meta(report: Report) -> dict:
     d = report.to_dict()
     d.pop("meta")
     return d
+
+
+def _child_env() -> dict:
+    """This environment with the package's src/ first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def test_summarize_constant():
@@ -144,6 +152,21 @@ def test_cycles_mc_matches_exact():
     report = run(ExperimentConfig(command="cycles-mc", k=6, trials=20000, seed=1))
     assert report.results["within_3_sigma"]
     assert abs(report.results["empirical_mean"] - report.results["exact_mean"]) < 0.1
+
+
+@pytest.mark.parametrize("m, within", [(2, True), (4, False)], ids=["2-sigma", "4-sigma"])
+def test_cycles_mc_verdict_at_three_sigma(monkeypatch, m, within):
+    # the exact k = 6 pmf with m sigma of bin 3 moved from bin 4 to bin 3;
+    # bin 4's sigma is 0.97 of bin 3's, so bin 3 decides the verdict
+    trials = 10_000
+    pmf = numpy.array([float(p) for p in cyclestats.longest_cycle_distribution(6).pmf])
+    shift = m * math.sqrt(pmf[3] * (1 - pmf[3]) / trials)
+    pmf[3] += shift
+    pmf[4] -= shift
+    monkeypatch.setattr(cyclestats, "sample_longest_cycle", lambda *args: pmf)
+    results = run(ExperimentConfig(command="cycles-mc", k=6, trials=trials)).results
+    assert results["within_3_sigma"] is within
+    assert results["max_abs_deviation"] == pytest.approx(shift, rel=1e-12)
 
 
 def test_cycles_mc_refuses_k_past_float_cap_before_sampling(monkeypatch):
@@ -391,6 +414,29 @@ class RecordingPool:
         return map(fn, items)
 
 
+# hamprob at one and two workers in a fresh interpreter that starts its pool
+# workers by the method in argv[1]: such a worker inherits no bound layer,
+# so only the pool's initializer (_import_layers) binds them
+_POOL_BY_START_METHOD = """
+import json, multiprocessing, os, sys
+multiprocessing.set_start_method(sys.argv[1])
+os.cpu_count = lambda: 2  # so the clamp leaves two workers on a 1-CPU runner
+from incpaths.harness import ExperimentConfig, run
+configs = [ExperimentConfig(command="hamprob", n=8, trials=40, seed=2, threads=t) for t in (1, 2)]
+print(json.dumps([run(config).to_dict() for config in configs]))
+"""
+
+
+@pytest.mark.parametrize("method", [method for method in ("spawn", "forkserver")
+                                    if method in multiprocessing.get_all_start_methods()])
+def test_trial_pool_under_a_non_fork_start_method(method):
+    child = subprocess.run([sys.executable, "-c", _POOL_BY_START_METHOD, method], env=_child_env(),
+                           capture_output=True, text=True, timeout=60, check=True)
+    one, two = json.loads(child.stdout)
+    assert (one.pop("meta")["threads"], two.pop("meta")["threads"]) == (1, 2)
+    assert one == two
+
+
 @pytest.mark.parametrize(
     "trials, cpus, pool",
     [(2, 8, 2), (10, 3, 3), (10, None, None), (1, 8, None)],
@@ -513,9 +559,7 @@ _WITH_NUMPY = {
 def test_each_command_imports_only_its_layers(argv, uses_numpy):
     # a fresh interpreter per command: a layer missing from a command's
     # list fails here even when an earlier command in this process loaded it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+    child = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=_child_env(),
                            capture_output=True, text=True, timeout=60, check=True)
     seen = json.loads(child.stdout)
     metadata = seen.pop("metadata")
@@ -549,9 +593,7 @@ def test_missing_numpy_exits_2_with_one_error_line():
 
 def _run_module(*argv):
     """``python -m incpaths argv`` in a fresh interpreter, as users start it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "incpaths", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "incpaths", *argv], env=_child_env(),
                           capture_output=True, timeout=60)
 
 

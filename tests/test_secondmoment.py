@@ -197,7 +197,7 @@ def test_exact_moments_n4():
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_second_moment_jensen(n):
     report = exact_moments(n)
-    assert report.first_moment == n
+    assert report.first_moment == n and type(report.first_moment) is int
     assert report.second_moment >= n * n
 
 
