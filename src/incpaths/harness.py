@@ -319,7 +319,8 @@ def _cmd_census(params, threads):
         "n": n,
         "classes": secondmoment.census_classes(census),
         "total_pairs": sum(cls.pair_count for cls in census.values()),
-        "recombined_second_moment": float(report.second_moment),
+        # int / int true division is correctly rounded, as float(Fraction) is
+        "recombined_second_moment": report.second_numerator / math.factorial(2 * n - 2),
     }
     if disjoint is not None:
         # measured fraction of edge-disjoint pairs against its asymptotic
@@ -344,14 +345,15 @@ def _cmd_bounds(params, threads):
 
 def _cmd_constant_c(params, threads):
     c_max = params["k"]
-    partial_sum = secondmoment.constant_C_partial(c_max)
+    total, denominator = secondmoment.constant_C_sum(c_max)
+    partial_sum_float = total / denominator
     e_cubed = math.exp(3)
     return {
         "c_max": c_max,
-        "partial_sum": secondmoment.fraction_dict(partial_sum),
-        "partial_sum_float": float(partial_sum),
+        "partial_sum": secondmoment.fraction_dict(total, denominator),
+        "partial_sum_float": partial_sum_float,
         "e_cubed": e_cubed,
-        "abs_error": abs(float(partial_sum) - e_cubed),
+        "abs_error": abs(partial_sum_float - e_cubed),
     }
 
 

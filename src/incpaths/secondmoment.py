@@ -24,17 +24,16 @@ E[H_n^2] ~ e * n^2, whose inner constant is sum_k 3^k/k! = e^3.
 Input is validated only at the public edge: ``classify_pair`` and
 ``pair_probability`` check both sequences once, and ``exact_moments``
 enumerates permutations, which are valid by construction, so the inner
-matching checks nothing.  Each pair's edges are matched once; the
-signature and the extension count are both read from that matching.
-All sum and census arithmetic is exact (Python ints and Fractions):
-E[H_n^2] and the split sums are integers over the common denominator
-(2n-2)!; E[H_n^2] becomes one Fraction and each split sum one correctly
-rounded division at the end.  No other floating point enters except
-where an explicit e^{-2} scale factor is applied.  ``fractions`` is
-imported only by the functions that return a Fraction, so the split sums
-run without it.  The report blocks of ``moments``, ``census`` and
-``constant-c`` (exact rationals, census classes and CSV rows) are all
-written by the functions at the end of this module.
+matching checks nothing.  Each pair's edges are matched once, and one
+walk along that matching reads both the signature and the extension
+count.  All sum and census arithmetic is in Python ints: E[H_n^2] and the
+split sums over (2n-2)!, the e^3 partial sum over c_max! 2^c_max, each
+one correctly rounded division at the end.  No other floating point
+enters except where an explicit e^{-2} scale factor is applied.
+``fractions`` is imported only where a public value is a Fraction, so the
+report blocks of ``moments``, ``census`` and ``constant-c`` (rationals
+reduced by gcd, census classes and CSV rows), written by the functions at
+the end of this module, run without it.
 
 The segment counts inner(c, k) = [x^c] (2x + x^2/(1-x))^k, the ways to
 lay k shared segments over c shared edges, come off one prefix-sum row
@@ -72,7 +71,17 @@ ProfileSignature.__doc__ = """Intersection profile of an ordered pair of Hamilto
 c shared edges forming k maximal segments, ell of them single edges."""
 # mass: the summed linear-extension counts over the class's pairs
 CensusClass = namedtuple("CensusClass", "pair_count mass")
-MomentReport = namedtuple("MomentReport", "n first_moment second_moment census")
+# E[H_n^2] is kept as its integer numerator over (2n-2)!; second_moment is its Fraction
+MomentReport = namedtuple("MomentReport", "n first_moment second_numerator census")
+MomentReport.second_moment = property(
+    lambda report: _fraction(report.second_numerator, math.factorial(2 * report.n - 2)))
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator as a Fraction, the one place this module imports ``fractions``."""
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 def _checked_match(a_seq, b_seq) -> list[int]:
@@ -95,54 +104,44 @@ def _match_pair(a_seq, b_seq) -> list[int]:
     return [0, *(pos_b.get(e, 0) for e in zip(a_seq, a_seq[1:]))]
 
 
-def _signature(match) -> ProfileSignature:
-    """Shared edges form vertex-disjoint paths; each such component is
-    automatically a contiguous run in both sequences, so segments are the
-    maximal runs of shared edges along A."""
-    c = k = ell = run = 0
-    for j in [*match[1:], 0]:  # the trailing 0 closes a final run
+def _profile(match) -> tuple[ProfileSignature, int]:
+    """The signature and the extension count of a matched pair, in one walk
+    along A.  Shared edges form vertex-disjoint paths; each such component
+    is automatically a contiguous run in both sequences, so segments are
+    the maximal runs of shared edges along A.  The extension count, the
+    orderings of the union of both edge chains that are increasing along A
+    and along B (shared edges identified), is the product over the gaps
+    between consecutive shared edges (and the path ends) of C(a + b, a), a
+    and b the private edges of A and of B in the gap; 0 when the shared
+    edges are not in the same order along B."""
+    p = len(match) - 1
+    c = k = ell = run = i_prev = j_prev = 0
+    count = 1
+    for i, j in enumerate([*match[1:], 0], 1):  # the trailing 0 closes a final run
         if j:
             c += 1
             run += 1
+            a, b = i - i_prev - 1, j - j_prev - 1
+            count = count * math.comb(a + b, a) if b >= 0 else 0
+            i_prev, j_prev = i, j
         elif run:
             k += 1
             ell += run == 1
             run = 0
-    return ProfileSignature(c=c, k=k, ell=ell)
-
-
-def _extension_count(match) -> int:
-    """Number of orderings of the union of both edge chains that are
-    increasing along A and along B (shared edges identified): the product
-    over the gaps between consecutive shared edges (and the path ends) of
-    C(a + b, a), a and b the private edges of A and of B in the gap; 0 when
-    the shared edges are not in the same order along B."""
-    p = len(match) - 1
-    shared = [(i, j) for i, j in enumerate(match) if j]
-    count = 1
-    i_prev = j_prev = 0
-    for i, j in [*shared, (p + 1, p + 1)]:  # the sentinel closes the last gap
-        if j <= j_prev:
-            return 0
-        a, b = i - i_prev - 1, j - j_prev - 1
-        count *= math.comb(a + b, a)
-        i_prev, j_prev = i, j
-    return count
+    a, b = p - i_prev, p - j_prev  # the gap after the last shared edge
+    return ProfileSignature(c=c, k=k, ell=ell), count * math.comb(a + b, a)
 
 
 def classify_pair(a_seq, b_seq) -> ProfileSignature:
     """Signature (c, k, ell) of an ordered pair of Hamiltonian sequences."""
-    return _signature(_checked_match(a_seq, b_seq))
+    return _profile(_checked_match(a_seq, b_seq))[0]
 
 
 def pair_probability(a_seq, b_seq) -> Fraction:
     """Probability that a uniform edge ordering makes both sequences
     increasing: extensions / (2n-c-2)!."""
-    from fractions import Fraction
-
-    match = _checked_match(a_seq, b_seq)
-    union = 2 * (len(a_seq) - 1) - _signature(match).c
-    return Fraction(_extension_count(match), math.factorial(union))
+    sig, count = _profile(_checked_match(a_seq, b_seq))
+    return _fraction(count, math.factorial(2 * (len(a_seq) - 1) - sig.c))
 
 
 def profile_census(n: int) -> dict[ProfileSignature, CensusClass]:
@@ -157,8 +156,6 @@ def exact_moments(n: int) -> MomentReport:
         raise CapacityError(f"exact moments support n <= {MOMENTS_CAP}, got n={n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    from fractions import Fraction
-
     # pairs (identity, B) stand for all pairs: classify and the extension
     # count are invariant under simultaneous relabeling, so full-class
     # values are these times n!
@@ -166,10 +163,9 @@ def exact_moments(n: int) -> MomentReport:
     counts: dict[ProfileSignature, int] = {}
     masses: dict[ProfileSignature, int] = {}
     for b_seq in permutations(range(n)):
-        match = _match_pair(identity, b_seq)
-        sig = _signature(match)
+        sig, count = _profile(_match_pair(identity, b_seq))
         counts[sig] = counts.get(sig, 0) + 1
-        masses[sig] = masses.get(sig, 0) + _extension_count(match)
+        masses[sig] = masses.get(sig, 0) + count
     scale = math.factorial(n)
     census = {
         sig: CensusClass(pair_count=scale * counts[sig], mass=scale * masses[sig])
@@ -177,11 +173,10 @@ def exact_moments(n: int) -> MomentReport:
     }
     # E[H^2] = sum over classes of mass / (2n-c-2)!, one integer over (2n-2)!
     up = _falling_to_common(n)
-    second = sum(cls.mass * up[sig.c] for sig, cls in census.items())
     return MomentReport(
         n=n,
         first_moment=n,  # n! paths, each increasing with probability 1/(n-1)!
-        second_moment=Fraction(second, math.factorial(2 * n - 2)),
+        second_numerator=sum(cls.mass * up[sig.c] for sig, cls in census.items()),
         census=census,
     )
 
@@ -286,6 +281,11 @@ def constant_C_partial(c_max: int) -> Fraction:
     """Partial sum, over shared-edge counts c <= c_max, of the limiting
     inner constant sum_{k,ell} C(k,ell) #comps 2^{ell-c+k} / k!; converges
     to e^3 = 20.0855... as c_max grows.  Exact rational."""
+    return _fraction(*constant_C_sum(c_max))
+
+
+def constant_C_sum(c_max: int) -> tuple[int, int]:
+    """``constant_C_partial`` as (numerator, c_max! 2^c_max), unreduced."""
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
     if c_max > CONSTANT_C_CAP:
@@ -299,14 +299,12 @@ def constant_C_partial(c_max: int) -> Fraction:
             f"c_max={c_max} exceeds cap {CONSTANT_C_CAP}; raising the cap needs "
             f"about {mem / 2**20:.0f} MiB of segment counts"
         )
-    from fractions import Fraction
-
     # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max, by
     # Horner's rule in k: total_k = k total_{k-1} + 2^k sum_c inner 2^(c_max-c)
     total = 0
     for k, tail in enumerate(_segment_rows(c_max)):
         total = total * k + (sum(x << (c_max - c) for c, x in enumerate(tail, k)) << k)
-    return Fraction(total, math.factorial(c_max) << c_max)
+    return total, math.factorial(c_max) << c_max
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +312,17 @@ def constant_C_partial(c_max: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def fraction_dict(x: Fraction) -> dict:
-    """x's numerator and denominator as decimal strings, however long:
-    CPython's int-to-str digit limit (4300 from 3.10.7 on, which the
-    constant-c numerator passes from c_max = 1559) is lifted meanwhile."""
+def fraction_dict(numerator: int, denominator: int) -> dict:
+    """numerator / denominator in lowest terms, both as decimal strings
+    however long: CPython's int-to-str digit limit (4300 from 3.10.7 on,
+    which the constant-c numerator passes from c_max = 1559) is lifted
+    meanwhile."""
+    gcd = math.gcd(numerator, denominator)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_limit(0)
     try:
-        return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
+        return {"numerator": str(numerator // gcd), "denominator": str(denominator // gcd)}
     finally:
         set_limit(limit)
 
@@ -344,7 +344,7 @@ def census_rows(classes: list[dict]) -> list[dict]:
 def moment_report_to_dict(report: MomentReport) -> dict:
     return {
         "n": report.n,
-        "first_moment": fraction_dict(report.first_moment),
-        "second_moment": fraction_dict(report.second_moment),
+        "first_moment": fraction_dict(report.first_moment, 1),
+        "second_moment": fraction_dict(report.second_numerator, math.factorial(2 * report.n - 2)),
         "census": census_rows(census_classes(report.census)),
     }

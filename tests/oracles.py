@@ -50,7 +50,7 @@ def redraw_real_loop(draws):
 def interleaving_extension_count_reference(match) -> int:
     """Linear extensions of a matched path pair (``secondmoment._match_pair``)
     by an interleaving DP over prefix pairs (i, j), the reference for
-    ``secondmoment._extension_count``'s product of gap binomials.  The last
+    the product of gap binomials in ``secondmoment._profile``.  The last
     element is A's i-th edge (if unshared), B's j-th edge (if unshared), or
     their shared edge when A's i-th and B's j-th coincide.  Crossed
     identifications never reach a nonzero state, so incompatible pairs

@@ -47,10 +47,15 @@ VARIANTS = [
     "cycles-mc --k 10 --trials 2000 --emit-raw",
     "alpha-table --k 30 --precision rational",
     "alpha-table --k 30 --precision float",
+    "moments --n 2",
     "moments --n 5",
+    "moments --n 7",
+    "census --n 3",
     "census --n 5",
+    "census --n 7",
     "bounds --n 50",
     "constant-c --k 40",
+    "constant-c --k 1600",
     "worstcase --n 2",
     "worstcase --n 8",
     "worstcase --n 22",

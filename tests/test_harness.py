@@ -573,9 +573,9 @@ def test_each_command_imports_only_its_layers(argv, uses_numpy):
         assert not metadata
         # nor inspect or typing, which numpy itself imports
         assert not loaded & {"inspect", "typing"}
-    if argv[0] == "bounds" or "rational" in argv:
-        # no Fraction is built: the split sums and alpha_table's rows are
-        # int / int divisions
+        # no Fraction is built: the split sums, alpha_table's rows and the
+        # moment, census and constant-c reports are int / int divisions and
+        # gcd-reduced integer pairs
         assert not loaded & {"fractions", "decimal"}
 
 

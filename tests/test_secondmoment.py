@@ -15,8 +15,8 @@ from incpaths.secondmoment import (
     CensusClass,
     MomentReport,
     ProfileSignature,
-    _extension_count,
     _match_pair,
+    _profile,
     classify_pair,
     constant_C_partial,
     exact_moments,
@@ -148,7 +148,9 @@ def test_extension_count_matches_interleaving_dp():
     pairs += [(tuple(range(n)), b) for n in (6, 7) for b in itertools.permutations(range(n))]
     for a, b in pairs:
         match = _match_pair(a, b)
-        assert _extension_count(match) == interleaving_extension_count_reference(match), (a, b)
+        # the one walk against both references: edge sets and the interleaving DP
+        assert _profile(match) == (classify_pair_by_edge_sets(a, b),
+                                   interleaving_extension_count_reference(match)), (a, b)
 
 
 def test_extension_count_one_shared_middle_edge():
@@ -157,8 +159,9 @@ def test_extension_count_one_shared_middle_edge():
     # after it A has 1 and B 3, C(4, 1) = 4.  The union has 7 edges.
     a, b = [0, 1, 2, 3, 4], [2, 3, 0, 4, 1]
     assert classify_pair(a, b) == ProfileSignature(1, 1, 1)
-    assert _extension_count(_match_pair(a, b)) == 4
+    assert _profile(_match_pair(a, b)) == (ProfileSignature(1, 1, 1), 4)
     assert pair_probability(a, b) == Fraction(4, math.factorial(7))
+    assert type(pair_probability(a, b)) is Fraction
 
 
 def test_pair_probability_symmetric():
@@ -192,6 +195,7 @@ def test_exact_moments_n4():
     assert report.first_moment == 4
     assert report.second_moment == enumerate_second_moment(4)
     assert report.second_moment == Fraction(296, 15)
+    assert type(report.second_moment) is Fraction
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -391,6 +395,7 @@ def test_exact_moments_rejects_small_n():
 
 def test_constant_c_partial():
     assert constant_C_partial(0) == 1
+    assert type(constant_C_partial(10)) is Fraction
     values = [constant_C_partial(c) for c in range(0, 12)]
     assert all(b >= a for a, b in zip(values, values[1:]))  # nondecreasing
     import mpmath
