@@ -1,18 +1,49 @@
 """Reference implementations the tests compare the package against: code
 that ``src/`` has replaced, and the walk checks and lemma bounds that
-``src/`` no longer exports."""
+``src/`` no longer exports.  The module also holds the helpers the test
+modules share: ``traced_peak`` and ``child_env``."""
 
+import itertools
 import math
+import os
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from incpaths.core import PERMUTATION, EdgeOrdering, walk_labels
+from incpaths.core import PERMUTATION, EdgeOrdering, num_edges, walk_labels
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
+
+def traced_peak(build):
+    """Peak bytes that tracemalloc sees allocated while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def child_env() -> dict:
+    """This environment with the package's src/ first on PYTHONPATH, for a
+    fresh interpreter: no empty entry, which would put its cwd on the path."""
+    path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def is_path(vertices):
     """True iff the walk is self-avoiding."""
     return len(set(vertices)) == len(vertices)
+
+
+def all_orderings(n):
+    """Every permutation-model ordering of K_n (n small)."""
+    for perm in itertools.permutations(range(1, num_edges(n) + 1)):
+        yield EdgeOrdering(n=n, model=PERMUTATION, labels=np.array(perm, dtype=np.int64))
 
 
 def is_increasing(ordering, vertices):

@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 from incpaths import core, cyclestats, secondmoment
-from incpaths.core import EdgeOrdering, matching_ordering, random_ordering
+from incpaths.core import matching_ordering, random_ordering
 from incpaths.exact import brute_force_longest, longest_increasing_path_len
 from incpaths.exact import count_increasing_ham_paths
 from incpaths.harness import ExperimentConfig, run
 from incpaths.kgreedy import EXHAUST, k_greedy_path
 from incpaths.walks import greedy_path, pedestrian_walks, refusal_paths
 from oracles import _split_term  # one split term, as an exact Fraction
-from oracles import embedding_bound, labeled_profile_bound
+from oracles import all_orderings, embedding_bound, labeled_profile_bound
 
 SEED = 20250810
 
@@ -178,13 +178,8 @@ def test_criterion_08_oracle_equivalence():
 
 @pytest.mark.slow
 def test_criterion_09_first_moment():
-    m = core.num_edges(4)
-    total = 0
-    for perm in itertools.permutations(range(1, m + 1)):
-        ordering = EdgeOrdering(n=4, model=core.PERMUTATION,
-                                labels=np.array(perm, dtype=np.int64))
-        total += count_increasing_ham_paths(ordering)
-    exact_mean = Fraction(total, math.factorial(m))
+    total = sum(count_increasing_ham_paths(o) for o in all_orderings(4))
+    exact_mean = Fraction(total, math.factorial(core.num_edges(4)))
     report = run(
         ExperimentConfig(command="moments", n=10, trials=100_000, seed=SEED, threads=2)
     )
@@ -200,14 +195,8 @@ def test_criterion_09_first_moment():
 
 
 def test_criterion_10_second_moment():
-    m = core.num_edges(4)
-    total_sq = 0
-    for perm in itertools.permutations(range(1, m + 1)):
-        ordering = EdgeOrdering(n=4, model=core.PERMUTATION,
-                                labels=np.array(perm, dtype=np.int64))
-        h = count_increasing_ham_paths(ordering)
-        total_sq += h * h
-    oracle = Fraction(total_sq, math.factorial(m))
+    total_sq = sum(count_increasing_ham_paths(o) ** 2 for o in all_orderings(4))
+    oracle = Fraction(total_sq, math.factorial(core.num_edges(4)))
     report = secondmoment.exact_moments(4)
     census = secondmoment.profile_census(4)
     recombined = sum(

@@ -1,8 +1,5 @@
 """Tests for incpaths.core."""
 
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +14,7 @@ from incpaths.core import (
     num_edges,
     random_ordering,
 )
-from oracles import is_increasing, redraw_real_loop, to_permutation_model
+from oracles import is_increasing, redraw_real_loop, to_permutation_model, traced_peak
 
 
 def longest_increasing_walk_exhaustive(ordering):
@@ -90,16 +87,6 @@ def test_random_ordering_real_labels():
 def test_random_ordering_rejects_small_n():
     with pytest.raises(ValueError):
         random_ordering(1, 0)
-
-
-def traced_peak(build):
-    """Peak bytes that tracemalloc sees allocated while ``build()`` runs."""
-    tracemalloc.start()
-    try:
-        build()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class QueuedRng:

@@ -2,13 +2,10 @@
 
 import itertools
 import math
-import os
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +28,7 @@ from incpaths.cyclestats import (
     sample_longest_cycle,
 )
 from incpaths.harness import ExperimentConfig, run
+from oracles import child_env, traced_peak
 
 
 def longest_cycle_pmf_enumeration(k):
@@ -51,23 +49,6 @@ def longest_cycle_pmf_enumeration(k):
         counts[longest] += 1
     total = math.factorial(k)
     return {s: Fraction(c, total) for s, c in counts.items()}
-
-
-def longest_cycle_fraction_rows(k_max):
-    """Oracle: pmf and cdf rows 0..k_max of L_k from the module docstring's
-    recurrence, evaluated in Fractions term by term."""
-    pmf_rows = [[Fraction(1)]]
-    cdf_rows = [[Fraction(1)]]
-    for n in range(1, k_max + 1):
-        pmf = [Fraction(0)] * (n + 1)
-        for s in range(1, n + 1):
-            for j in range(1, n // s + 1):
-                rest = n - s * j
-                below = cdf_rows[rest][s - 1] if s - 1 <= rest else Fraction(1)
-                pmf[s] += Fraction(1, math.factorial(j) * s**j) * below
-        pmf_rows.append(pmf)
-        cdf_rows.append(list(itertools.accumulate(pmf)))
-    return pmf_rows, cdf_rows
 
 
 def sample_longest_cycle_bincount_reference(k: int, trials: int, seed: int) -> np.ndarray:
@@ -171,19 +152,6 @@ def test_recurrence_matches_enumeration(k):
         assert table.pmf[s] == oracle.get(s, Fraction(0))
 
 
-def test_integer_tables_match_fraction_recurrence():
-    pmf_rows, cdf_rows = longest_cycle_fraction_rows(60)
-    for k in range(1, 61):
-        table = longest_cycle_distribution(k)
-        assert table.pmf == tuple(pmf_rows[k])
-        assert table.cdf == tuple(cdf_rows[k])
-        assert all(isinstance(p, Fraction) for p in table.pmf + table.cdf)
-    for k in (1, 10, 60):
-        pmf = dict(enumerate(pmf_rows[k]))
-        assert alpha(k) == alpha_from_pmf(pmf, k)
-        assert golomb_dickman_estimate(k) == sum(Fraction(s, k) * p for s, p in pmf.items())
-
-
 # The j-sum recurrence that filled the cdf counts before the stepped one,
 # as their oracle, with its factorials from math.factorial.
 def _j_sum_rows(k: int) -> list[list[int]]:
@@ -210,6 +178,22 @@ def test_cdf_counts_equal_j_sum_recurrence():
     assert cyclestats._count_rows(RATIONAL_CAP) == _j_sum_rows(RATIONAL_CAP)
 
 
+def test_integer_tables_match_fraction_recurrence():
+    # the j-sum counts over k! as Fractions, the pmf as differences of the cdf
+    counts = _j_sum_rows(60)
+    for k in range(1, 61):
+        cdf = [Fraction(count, math.factorial(k)) for count in counts[k]]
+        pmf = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
+        table = longest_cycle_distribution(k)
+        assert table.pmf == tuple(pmf)
+        assert table.cdf == tuple(cdf)
+        assert all(isinstance(p, Fraction) for p in table.pmf + table.cdf)
+        if k in (1, 10, 60):
+            pmf = dict(enumerate(pmf))
+            assert alpha(k) == alpha_from_pmf(pmf, k)
+            assert golomb_dickman_estimate(k) == sum(Fraction(s, k) * p for s, p in pmf.items())
+
+
 # bytes still traced once alpha_table(200) and longest_cycle_distribution(200)
 # have returned and their results are dropped
 _TRACED_CALLS = """
@@ -225,9 +209,7 @@ print(tracemalloc.get_traced_memory()[0])
 def test_exact_calls_keep_no_table():
     # a fresh interpreter, so that nothing an earlier test built is in the
     # way; the module-wide memo this replaced held 2.6 MiB after these calls
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-c", _TRACED_CALLS], env=env,
+    child = subprocess.run([sys.executable, "-c", _TRACED_CALLS], env=child_env(),
                            capture_output=True, text=True, timeout=60, check=True)
     assert int(child.stdout) < 256 * 2**10
 
@@ -378,13 +360,7 @@ def test_sampler_equals_bincount_reference(k, trials):
 def test_sampler_working_set(k, trials, limit_mib):
     # numpy reports its buffers to tracemalloc; the chunk-wide bincount
     # sampler peaked at 40 and 112 MiB here
-    tracemalloc.start()
-    try:
-        sample_longest_cycle(k, trials, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mib * 2**20
+    assert traced_peak(lambda: sample_longest_cycle(k, trials, seed=0)) < limit_mib * 2**20
 
 
 @pytest.mark.parametrize("k,trials", [(5, 200_000), (100, 50_000)])

@@ -26,7 +26,7 @@ from incpaths.exact import (
 )
 from incpaths.kgreedy import MODES, k_greedy_path
 from incpaths.secondmoment import exact_moments
-from oracles import is_increasing, is_path
+from oracles import all_orderings, is_increasing, is_path
 
 # a coarse grid whose repeats become one-ulp ladders (ladder_labels); the
 # ladder above zero runs through the subnormals
@@ -41,13 +41,6 @@ def ladder_labels(grid_labels):
     for g in grid_labels:
         rung[g] = float(np.nextafter(rung.get(g, g), 1.0))
         yield rung[g]
-
-
-def all_orderings(n):
-    """Every permutation-model ordering of K_n (n small)."""
-    m = core.num_edges(n)
-    for perm in itertools.permutations(range(1, m + 1)):
-        yield EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(perm, dtype=np.int64))
 
 
 def count_by_permutations(ordering):

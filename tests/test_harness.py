@@ -8,9 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy
 import pytest
@@ -25,19 +23,13 @@ from incpaths.harness import (
     summarize,
     trial_seed,
 )
+from oracles import SRC, child_env, traced_peak
 
 
 def strip_meta(report: Report) -> dict:
     d = report.to_dict()
     d.pop("meta")
     return d
-
-
-def _child_env() -> dict:
-    """This environment with the package's src/ first on PYTHONPATH, for a
-    fresh interpreter."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def test_summarize_constant():
@@ -257,13 +249,7 @@ def test_walk_lengths_trace_little_memory():
     harness._import_layers(("core", "walks"))
     ordering = core.random_ordering(400, 0)
     ordering.edges_by_label  # the sort every walk measure shares
-    tracemalloc.start()
-    try:
-        harness._walk_lengths(ordering)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert traced_peak(lambda: harness._walk_lengths(ordering)) < 2 * 2**20
 
 
 def test_worstcase_command_deterministic():
@@ -430,7 +416,7 @@ print(json.dumps([run(config).to_dict() for config in configs]))
 @pytest.mark.parametrize("method", [method for method in ("spawn", "forkserver")
                                     if method in multiprocessing.get_all_start_methods()])
 def test_trial_pool_under_a_non_fork_start_method(method):
-    child = subprocess.run([sys.executable, "-c", _POOL_BY_START_METHOD, method], env=_child_env(),
+    child = subprocess.run([sys.executable, "-c", _POOL_BY_START_METHOD, method], env=child_env(),
                            capture_output=True, text=True, timeout=60, check=True)
     one, two = json.loads(child.stdout)
     assert (one.pop("meta")["threads"], two.pop("meta")["threads"]) == (1, 2)
@@ -559,7 +545,7 @@ _WITH_NUMPY = {
 def test_each_command_imports_only_its_layers(argv, uses_numpy):
     # a fresh interpreter per command: a layer missing from a command's
     # list fails here even when an earlier command in this process loaded it
-    child = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=_child_env(),
+    child = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=child_env(),
                            capture_output=True, text=True, timeout=60, check=True)
     seen = json.loads(child.stdout)
     metadata = seen.pop("metadata")
@@ -580,10 +566,10 @@ def test_each_command_imports_only_its_layers(argv, uses_numpy):
 
 
 def test_missing_numpy_exits_2_with_one_error_line():
-    # -S leaves site-packages, and with it numpy, off the path
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # -S leaves site-packages, and with it numpy, off the path; src/ stands
+    # alone on PYTHONPATH, since an inherited entry could put numpy back
     child = subprocess.run([sys.executable, "-S", "-m", "incpaths", "constant-c", "--k", "3"],
-                           env=dict(os.environ, PYTHONPATH=src),
+                           env=dict(os.environ, PYTHONPATH=SRC),
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 2
     assert child.stdout == ""
@@ -593,7 +579,7 @@ def test_missing_numpy_exits_2_with_one_error_line():
 
 def _run_module(*argv):
     """``python -m incpaths argv`` in a fresh interpreter, as users start it."""
-    return subprocess.run([sys.executable, "-m", "incpaths", *argv], env=_child_env(),
+    return subprocess.run([sys.executable, "-m", "incpaths", *argv], env=child_env(),
                           capture_output=True, timeout=60)
 
 

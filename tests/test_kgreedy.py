@@ -3,7 +3,6 @@
 import heapq
 import itertools
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,7 @@ from incpaths.kgreedy import (
     k_greedy_path,
 )
 from incpaths.walks import greedy_path
-from oracles import is_increasing, is_path
+from oracles import is_increasing, is_path, traced_peak
 
 
 def k_greedy_reference(ordering, v0, k, mode):
@@ -258,13 +257,7 @@ def test_candidate_rows_trace_little_memory(n, k, bytes_per_edge):
     # 20.66 (n = 400), so even a uint8 key per entry would cross the bound
     ordering = random_ordering(n, 0, core.REAL)
     k_greedy_path(ordering, 0, k)  # first-call setup is not the run's
-    tracemalloc.start()
-    try:
-        k_greedy_path(ordering, 0, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bytes_per_edge * core.num_edges(n)
+    assert traced_peak(lambda: k_greedy_path(ordering, 0, k)) < bytes_per_edge * core.num_edges(n)
 
 
 @pytest.mark.parametrize("model, dtype", [(core.REAL, ">f8"), (core.REAL, "f2"), (core.PERMUTATION, ">i8")])

@@ -1,5 +1,6 @@
 """Tests for incpaths.secondmoment."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,13 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from incpaths import core, secondmoment
-from incpaths.core import CapacityError, EdgeOrdering
+from incpaths import secondmoment
+from incpaths.core import CapacityError
 from incpaths.exact import count_increasing_ham_paths
 from incpaths.harness import ExperimentConfig, main, run
 from incpaths.secondmoment import (
-    CensusClass,
-    MomentReport,
     ProfileSignature,
     _match_pair,
     _profile,
@@ -27,26 +26,13 @@ from incpaths.secondmoment import (
 )
 from oracles import (
     _compositions_min2,
+    all_orderings,
     _split_sum,
-    _split_term,
     embedding_bound,
     interleaving_extension_count_reference,
     is_increasing,
     labeled_profile_bound,
 )
-
-
-def enumerate_second_moment(n):
-    """Oracle: mean of H^2 over all n(n-1)/2 factorial label assignments."""
-    m = core.num_edges(n)
-    total = 0
-    count = 0
-    for perm in itertools.permutations(range(1, m + 1)):
-        ordering = EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(perm, dtype=np.int64))
-        h = count_increasing_ham_paths(ordering)
-        total += h * h
-        count += 1
-    return Fraction(total, count)
 
 
 def random_hamiltonian_pair(rng, n):
@@ -114,12 +100,9 @@ def test_classify_rejects_non_hamiltonian(public):
 def test_classify_relabeling_invariance():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        n = 6
-        a, b = random_hamiltonian_pair(rng, n)
-        sigma = list(rng.permutation(n))
-        a2 = [sigma[v] for v in a]
-        b2 = [sigma[v] for v in b]
-        assert classify_pair(a, b) == classify_pair(a2, b2)
+        a, b = random_hamiltonian_pair(rng, 6)
+        sigma = list(rng.permutation(6))
+        assert classify_pair(a, b) == classify_pair([sigma[v] for v in a], [sigma[v] for v in b])
 
 
 def test_pair_probability_identical():
@@ -174,26 +157,19 @@ def test_pair_probability_symmetric():
 def test_pair_probability_against_full_enumeration():
     # every ordered pair at n=4, checked against the 720-ordering oracle
     n = 4
-    m = core.num_edges(n)
-    orderings = [
-        EdgeOrdering(n=n, model=core.PERMUTATION, labels=np.array(perm, dtype=np.int64))
-        for perm in itertools.permutations(range(1, m + 1))
-    ]
-    for b in itertools.permutations(range(n)):
-        a = list(range(n))
-        b = list(b)
-        hits = sum(
-            1
-            for o in orderings
-            if is_increasing(o, a) and is_increasing(o, b)
-        )
+    orderings = list(all_orderings(n))
+    a = list(range(n))
+    for b in map(list, itertools.permutations(range(n))):
+        hits = sum(is_increasing(o, a) and is_increasing(o, b) for o in orderings)
         assert pair_probability(a, b) == Fraction(hits, len(orderings))
 
 
 def test_exact_moments_n4():
     report = exact_moments(4)
     assert report.first_moment == 4
-    assert report.second_moment == enumerate_second_moment(4)
+    # the oracle: the mean of H^2 over all 720 label assignments
+    counts = [count_increasing_ham_paths(o) for o in all_orderings(4)]
+    assert report.second_moment == Fraction(sum(h * h for h in counts), len(counts))
     assert report.second_moment == Fraction(296, 15)
     assert type(report.second_moment) is Fraction
 
@@ -254,17 +230,13 @@ def test_moments_capacity_error():
 
 
 def test_labeled_profile_bound_examples():
-    # composition factor C(0,0)=1: one part of size 2
-    assert labeled_profile_bound(2, 1, 0, 6) == _multinomial(6, 2, 1)
-    # k == ell == c == 1: zero parts of zero remaining edges
-    assert labeled_profile_bound(1, 1, 1, 6) == 2 * _multinomial(6, 1, 1)
+    # composition factor C(0,0)=1: one part of size 2, times the
+    # multinomial (2m+k)!/(m! m! k!) with m = n-c-1: 7!/(3! 3! 1!) = 140
+    assert labeled_profile_bound(2, 1, 0, 6) == 140
+    # k == ell == c == 1: zero parts of zero remaining edges, 2 * 9!/(4! 4! 1!)
+    assert labeled_profile_bound(1, 1, 1, 6) == 2 * 630
     # valid signature whose composition count vanishes gives 0
     assert labeled_profile_bound(3, 1, 1, 8) == 0
-
-
-def _multinomial(n, c, k):
-    m = n - c - 1
-    return math.comb(2 * m + k, k) * math.comb(2 * m, m)
 
 
 def test_labeled_profile_bound_rejects_invalid():
@@ -318,39 +290,9 @@ def test_s_sum_small_c_ratio_approaches_one():
     assert abs(ratios[400] - 1) < abs(ratios[50] - 1)
 
 
-def s_sum_fractions(n):
-    """Oracle: the three split sums of s_sum_bounds(n), each term an exact
-    Fraction over its own (2n-c-2)!, summed in Fractions."""
-    fact = [math.factorial(i) for i in range(2 * n)]
-    c_small = int(math.floor(math.log(n)))
-    c_mid = 9 * n // 10
-    small = sum(
-        Fraction(
-            labeled_profile_bound(c, k, ell, n) * embedding_bound(c, k, n),
-            fact[2 * n - c - 2],
-        )
-        for c in range(c_small + 1)
-        for k in range(min(c, n - c) + 1)
-        for ell in range(max(0, 2 * k - c), k + 1)
-    )
-
-    def split(c_range):
-        return sum(
-            (_split_term(c, k, n, fact) for c in c_range for k in range(1, min(c, n - c) + 1)),
-            Fraction(0),
-        )
-
-    return small, split(range(c_small + 1, c_mid + 1)), split(range(c_mid + 1, n))
-
-
-@pytest.mark.parametrize("n", [10, 50, 100])
-def test_s_sum_bounds_equal_fraction_sums(n):
-    small, mid, tail = s_sum_fractions(n)
-    assert s_sum_bounds(n) == (math.exp(-2) * float(small), float(mid), float(tail))
-
-
-@pytest.mark.parametrize("n", [10, 11, 57, 400])
-def test_split_sums_equal_per_term_binomials(n):
+def per_term_sums(n):
+    """The three split sums of s_sum_bounds(n) from their per-term
+    binomials, as integers over (2n-2)!, with the tables and c ranges."""
     fact = [math.factorial(i) for i in range(2 * n)]
     up = secondmoment._falling_to_common(n)
     c_small = int(math.floor(math.log(n)))
@@ -364,6 +306,20 @@ def test_split_sums_equal_per_term_binomials(n):
     )
     mid = _split_sum(mid_range, n, fact, up)
     tail = _split_sum(tail_range, n, fact, up)
+    return fact, up, (c_small, mid_range, tail_range), (small, mid, tail)
+
+
+@pytest.mark.parametrize("n", [10])
+def test_s_sum_bounds_equal_fraction_sums(n):
+    # at the smallest n, each bound is the float of its exact rational sum
+    fact, _, _, sums = per_term_sums(n)
+    small, mid, tail = (Fraction(s, fact[2 * n - 2]) for s in sums)
+    assert s_sum_bounds(n) == (math.exp(-2) * float(small), float(mid), float(tail))
+
+
+@pytest.mark.parametrize("n", [10, 11, 50, 57, 100, 400])
+def test_split_sums_equal_per_term_binomials(n):
+    fact, up, (c_small, mid_range, tail_range), (small, mid, tail) = per_term_sums(n)
     assert secondmoment._small_sum(c_small, n, fact, up) == small
     assert secondmoment._split_sum(mid_range, n, fact, up) == mid
     assert secondmoment._split_sum(tail_range, n, fact, up) == tail
@@ -407,44 +363,36 @@ def test_constant_c_partial():
     assert err < mpmath.mpf("1e-6")
 
 
-def constant_C_fraction_sum(c_max):
-    """Reference: the partial sum with one Fraction addition per (c, k)."""
-    total = Fraction(0)
-    for c in range(c_max + 1):
-        for k in range(0, c + 1):
-            inner = 0
-            for ell in range(max(0, 2 * k - c), k + 1):
-                inner += math.comb(k, ell) * _compositions_min2(c - ell, k - ell) * 2**ell
-            if inner:
-                total += Fraction(inner * 2**k, math.factorial(k) * 2**c)
-    return total
-
-
-@pytest.mark.parametrize("c_max", [0, 1, 2, 5, 30, 80, 120])
-def test_constant_c_partial_equals_fraction_sum(c_max):
-    assert constant_C_partial(c_max) == constant_C_fraction_sum(c_max)
-
-
-def constant_C_triple_loop(c_max: int) -> Fraction:
+@functools.cache
+def constant_C_triple_loop(c_max: int) -> list[Fraction]:
     """The triple loop of binomials that constant_C_partial ran before the
-    segment-count rows, word for word: the oracle for its exact value."""
-    if c_max < 0:
-        raise ValueError(f"need c_max >= 0, got {c_max}")
+    segment-count rows, its inner loop word for word: the oracle for its
+    exact value, as the partial sums at every cutoff 0..c_max in one pass."""
     # each term inner 2^k / (k! 2^c) as an integer over c_max! 2^c_max
     up = [math.factorial(c_max) // math.factorial(k) for k in range(c_max + 1)]
     total = 0
+    partial = []
     for c in range(c_max + 1):
         for k in range(0, c + 1):
             inner = 0
             for ell in range(max(0, 2 * k - c), k + 1):
                 inner += math.comb(k, ell) * _compositions_min2(c - ell, k - ell) * 2**ell
             total += inner * up[k] << (k + c_max - c)
-    return Fraction(total, up[0] << c_max)
+        partial.append(Fraction(total, up[0] << c_max))
+    return partial
 
 
 def test_constant_c_partial_equals_triple_loop():
-    for c_max in range(121):
-        assert constant_C_partial(c_max) == constant_C_triple_loop(c_max)
+    for c_max, expected in enumerate(constant_C_triple_loop(120)):
+        assert constant_C_partial(c_max) == expected
+
+
+@pytest.mark.parametrize("c_max", [0, 1, 2, 5, 30, 80, 120])
+def test_constant_c_partial_equals_fraction_sum(c_max):
+    # constant_C_sum's unreduced pair, which constant-c divides for its float
+    numerator, denominator = secondmoment.constant_C_sum(c_max)
+    assert denominator == math.factorial(c_max) << c_max
+    assert Fraction(numerator, denominator) == constant_C_triple_loop(120)[c_max]
 
 
 def test_constant_c_refuses_c_max_past_cap_before_building(monkeypatch):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name at module level and never uses
-it, or defines a private name at module level that nothing references."""
+"""No module of the package, the tests or the demos imports a name at
+module level and never uses it, and no module of the package defines a
+private name at module level that nothing references."""
 
 import ast
 from collections import Counter
@@ -7,13 +8,15 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "incpaths").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "incpaths").glob("*.py"))
 TREES = {source: ast.parse(source.read_text(), str(source)) for source in SOURCES}
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
-@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("source", SOURCES + SCRIPTS, ids=lambda path: path.name)
 def test_no_unused_module_level_import(source):
-    tree = TREES[source]
+    tree = ast.parse(source.read_text(), str(source))
     imported = {}  # bound name -> line of its import
     for node in tree.body:
         if isinstance(node, ast.Import):
